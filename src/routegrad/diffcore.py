@@ -6,12 +6,21 @@ A :class:`Tensor` wraps an ndarray; operations executed while a
 with no active tape are plain numpy calls, so inference pays no autodiff
 overhead.
 
-Backward closures capture the minimum state needed for input gradients:
-a linear layer whose parameters do not require gradients never retains
-its activations, ReLU keeps a boolean mask instead of its output, and
-layer normalization keeps only the standardized values.  This keeps the
-memory of a full batched-GNN gradient evaluation near the size of its
-saved normalization states rather than the whole forward graph.
+Retention contract: a backward closure never holds an input ``Tensor``.
+When an op records itself it copies each input's uid (``None`` when the
+input needs no gradient) and shape into locals, and the closure keeps
+those plus only the arrays its formula reads.  ReLU and clip keep a
+boolean mask, sigmoid, exp and sqrt their output, layer normalization
+the standardized values and the inverse deviations, a product or
+quotient an operand only when the other side needs its gradient, and a
+linear layer its activations only when its weights need a gradient.  An
+intermediate activation is therefore freed as soon as the forward pass
+drops it, and a batched-GNN gradient with fixed parameters retains
+about one f64 standardized block plus one boolean mask per processed
+latent element, not the whole forward graph.  The exceptions are inputs
+a formula needs (``power`` and ``log`` keep their argument, ``div`` its
+divisor) and views: ``reshape`` and ``transpose`` outputs share their
+input's buffer.
 
 Also here: the temperature-weighted soft maximum, binary cross-entropy,
 the Adam update rule, and a finite-difference gradient checker.
@@ -227,6 +236,14 @@ def _finish(out_data, grad_inputs: list[Tensor], make_backward) -> Tensor:
     return out
 
 
+def _tracked_uid(t):
+    """The uid a backward closure reports ``t``'s gradient under, or None.
+
+    None also for an absent optional input (``bias=None``).
+    """
+    return t._uid if t is not None and t.requires_grad else None
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sums a gradient over axes that were broadcast in the forward op."""
     if g.shape == shape:
@@ -249,12 +266,14 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(out):
+        ua, sa, ub, sb = _tracked_uid(a), a.shape, _tracked_uid(b), b.shape
+
         def run(g):
             pairs = []
-            if a.requires_grad:
-                pairs.append((a._uid, _unbroadcast(g, a.shape)))
-            if b.requires_grad:
-                pairs.append((b._uid, _unbroadcast(g, b.shape)))
+            if ua is not None:
+                pairs.append((ua, _unbroadcast(g, sa)))
+            if ub is not None:
+                pairs.append((ub, _unbroadcast(g, sb)))
             return pairs
 
         return run
@@ -267,12 +286,14 @@ def sub(a, b) -> Tensor:
     data = a.data - b.data
 
     def backward(out):
+        ua, sa, ub, sb = _tracked_uid(a), a.shape, _tracked_uid(b), b.shape
+
         def run(g):
             pairs = []
-            if a.requires_grad:
-                pairs.append((a._uid, _unbroadcast(g, a.shape)))
-            if b.requires_grad:
-                pairs.append((b._uid, _unbroadcast(-g, b.shape)))
+            if ua is not None:
+                pairs.append((ua, _unbroadcast(g, sa)))
+            if ub is not None:
+                pairs.append((ub, _unbroadcast(-g, sb)))
             return pairs
 
         return run
@@ -285,15 +306,16 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(out):
+        ua, sa, ub, sb = _tracked_uid(a), a.shape, _tracked_uid(b), b.shape
         a_data = a.data if b.requires_grad else None
         b_data = b.data if a.requires_grad else None
 
         def run(g):
             pairs = []
-            if a.requires_grad:
-                pairs.append((a._uid, _unbroadcast(g * b_data, a.shape)))
-            if b.requires_grad:
-                pairs.append((b._uid, _unbroadcast(g * a_data, b.shape)))
+            if ua is not None:
+                pairs.append((ua, _unbroadcast(g * b_data, sa)))
+            if ub is not None:
+                pairs.append((ub, _unbroadcast(g * a_data, sb)))
             return pairs
 
         return run
@@ -306,14 +328,16 @@ def div(a, b) -> Tensor:
     data = a.data / b.data
 
     def backward(out):
-        a_data, b_data = a.data, b.data
+        ua, sa, ub, sb = _tracked_uid(a), a.shape, _tracked_uid(b), b.shape
+        a_data = a.data if b.requires_grad else None
+        b_data = b.data
 
         def run(g):
             pairs = []
-            if a.requires_grad:
-                pairs.append((a._uid, _unbroadcast(g / b_data, a.shape)))
-            if b.requires_grad:
-                pairs.append((b._uid, _unbroadcast(-g * a_data / (b_data * b_data), b.shape)))
+            if ua is not None:
+                pairs.append((ua, _unbroadcast(g / b_data, sa)))
+            if ub is not None:
+                pairs.append((ub, _unbroadcast(-g * a_data / (b_data * b_data), sb)))
             return pairs
 
         return run
@@ -323,7 +347,12 @@ def div(a, b) -> Tensor:
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return _finish(-a.data, [a], lambda out: lambda g: [(a._uid, -g)])
+
+    def backward(out):
+        ua = a._uid
+        return lambda g: [(ua, -g)]
+
+    return _finish(-a.data, [a], backward)
 
 
 def power(a, exponent: float) -> Tensor:
@@ -332,10 +361,10 @@ def power(a, exponent: float) -> Tensor:
     data = a.data**p
 
     def backward(out):
-        base = a.data
+        ua, base = a._uid, a.data
 
         def run(g):
-            return [(a._uid, g * p * base ** (p - 1.0))]
+            return [(ua, g * p * base ** (p - 1.0))]
 
         return run
 
@@ -347,8 +376,8 @@ def exp(a) -> Tensor:
     data = np.exp(a.data)
 
     def backward(out):
-        y = out.data
-        return lambda g: [(a._uid, g * y)]
+        ua, y = a._uid, out.data
+        return lambda g: [(ua, g * y)]
 
     return _finish(data, [a], backward)
 
@@ -358,8 +387,8 @@ def log(a) -> Tensor:
     data = np.log(a.data)
 
     def backward(out):
-        x = a.data
-        return lambda g: [(a._uid, g / x)]
+        ua, x = a._uid, a.data
+        return lambda g: [(ua, g / x)]
 
     return _finish(data, [a], backward)
 
@@ -369,8 +398,8 @@ def sqrt(a) -> Tensor:
     data = np.sqrt(a.data)
 
     def backward(out):
-        y = out.data
-        return lambda g: [(a._uid, g * 0.5 / y)]
+        ua, y = a._uid, out.data
+        return lambda g: [(ua, g * 0.5 / y)]
 
     return _finish(data, [a], backward)
 
@@ -381,8 +410,8 @@ def clip(a, lo: float, hi: float) -> Tensor:
     data = np.clip(a.data, lo, hi)
 
     def backward(out):
-        mask = (a.data > lo) & (a.data < hi)
-        return lambda g: [(a._uid, g * mask)]
+        ua, mask = a._uid, (a.data > lo) & (a.data < hi)
+        return lambda g: [(ua, g * mask)]
 
     return _finish(data, [a], backward)
 
@@ -396,13 +425,13 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(out):
-        shape = a.shape
+        ua, shape = a._uid, a.shape
 
         def run(g):
             gx = g
             if axis is not None and not keepdims:
                 gx = np.expand_dims(gx, axis)
-            return [(a._uid, np.broadcast_to(gx, shape))]
+            return [(ua, np.broadcast_to(gx, shape))]
 
         return run
 
@@ -415,13 +444,13 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     count = a.size if axis is None else a.shape[axis]
 
     def backward(out):
-        shape = a.shape
+        ua, shape = a._uid, a.shape
 
         def run(g):
             gx = g
             if axis is not None and not keepdims:
                 gx = np.expand_dims(gx, axis)
-            return [(a._uid, np.broadcast_to(gx, shape) / count)]
+            return [(ua, np.broadcast_to(gx, shape) / count)]
 
         return run
 
@@ -433,8 +462,8 @@ def reshape(a, shape) -> Tensor:
     data = a.data.reshape(shape)
 
     def backward(out):
-        orig = a.shape
-        return lambda g: [(a._uid, g.reshape(orig))]
+        ua, orig = a._uid, a.shape
+        return lambda g: [(ua, g.reshape(orig))]
 
     return _finish(data, [a], backward)
 
@@ -444,8 +473,8 @@ def transpose(a, axes=None) -> Tensor:
     data = a.data.transpose(axes)
 
     def backward(out):
-        inv = None if axes is None else np.argsort(axes)
-        return lambda g: [(a._uid, g.transpose(inv))]
+        ua, inv = a._uid, None if axes is None else np.argsort(axes)
+        return lambda g: [(ua, g.transpose(inv))]
 
     return _finish(data, [a], backward)
 
@@ -455,12 +484,12 @@ def concat(tensors, axis: int = -1) -> Tensor:
     data = np.concatenate([t.data for t in ts], axis=axis)
 
     def backward(out):
-        sizes = [t.shape[axis] for t in ts]
-        splits = np.cumsum(sizes[:-1])
+        uids = [_tracked_uid(t) for t in ts]
+        splits = np.cumsum([t.shape[axis] for t in ts[:-1]])
 
         def run(g):
             parts = np.split(g, splits, axis=axis)
-            return [(t._uid, p) for t, p in zip(ts, parts) if t.requires_grad]
+            return [(u, p) for u, p in zip(uids, parts) if u is not None]
 
         return run
 
@@ -475,17 +504,18 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def backward(out):
+        ua, sa, ub, sb = _tracked_uid(a), a.shape, _tracked_uid(b), b.shape
         a_data = a.data if b.requires_grad else None
         b_data = b.data if a.requires_grad else None
 
         def run(g):
             pairs = []
-            if a.requires_grad:
+            if ua is not None:
                 ga = g @ b_data.swapaxes(-1, -2)
-                pairs.append((a._uid, _unbroadcast(ga, a.shape)))
-            if b.requires_grad:
+                pairs.append((ua, _unbroadcast(ga, sa)))
+            if ub is not None:
                 gb = a_data.swapaxes(-1, -2) @ g
-                pairs.append((b._uid, _unbroadcast(gb, b.shape)))
+                pairs.append((ub, _unbroadcast(gb, sb)))
             return pairs
 
         return run
@@ -505,8 +535,10 @@ def affine(x, weights, bias=None) -> Tensor:
         weights: ``[n_out, n_in]``.
         bias: ``[n_out]`` or None.
 
-    The input activation is retained for backward only when the weight
-    tensor itself requires a gradient.
+    Under a tape, the backward closure keeps the input activation only
+    when ``weights`` requires a gradient, and the weight matrix only when
+    ``x`` does; it never keeps ``x`` itself, so with fixed weights the
+    activation is freed as soon as the caller drops it.
     """
     x, weights = as_tensor(x), as_tensor(weights)
     bias = None if bias is None else as_tensor(bias)
@@ -526,18 +558,20 @@ def affine(x, weights, bias=None) -> Tensor:
     out_data = out_data.reshape(x.shape[:-1] + (n_out,))
 
     def backward(out):
-        w_data = weights.data
+        ux, x_shape = _tracked_uid(x), x.shape
+        uw, ub = _tracked_uid(weights), _tracked_uid(bias)
+        w_data = weights.data if x.requires_grad else None
         x_saved = xm if weights.requires_grad else None
 
         def run(g):
             g2 = g.reshape(-1, n_out)
             pairs = []
-            if x.requires_grad:
-                pairs.append((x._uid, (g2 @ w_data).reshape(x.shape)))
-            if weights.requires_grad:
-                pairs.append((weights._uid, g2.T @ x_saved))
-            if bias is not None and bias.requires_grad:
-                pairs.append((bias._uid, g2.sum(axis=0)))
+            if ux is not None:
+                pairs.append((ux, (g2 @ w_data).reshape(x_shape)))
+            if uw is not None:
+                pairs.append((uw, g2.T @ x_saved))
+            if ub is not None:
+                pairs.append((ub, g2.sum(axis=0)))
             return pairs
 
         return run
@@ -552,7 +586,9 @@ def affine_sum(xs, weights, bias=None) -> Tensor:
     Equivalent to ``affine(concat(xs, -1), W, b)`` but never materializes
     the concatenation: the weight matrix is split along its input axis and
     each piece multiplies its input separately.  Inputs may broadcast
-    against each other over leading axes.
+    against each other over leading axes.  Retention follows
+    :func:`affine`: the inputs are kept only when ``weights`` requires a
+    gradient.
     """
     xs = [as_tensor(x) for x in xs]
     weights = as_tensor(weights)
@@ -574,25 +610,27 @@ def affine_sum(xs, weights, bias=None) -> Tensor:
         out_data = out_data + bias.data
 
     def backward(out):
+        slots = [(_tracked_uid(x), x.shape, lo, hi) for x, lo, hi in zip(xs, offsets[:-1], offsets[1:])]
+        uw, ub = _tracked_uid(weights), _tracked_uid(bias)
         w_data = weights.data
-        saved = [x.data if weights.requires_grad else None for x in xs]
+        saved = [x.data for x in xs] if weights.requires_grad else None
         out_shape = out.shape
 
         def run(g):
             g2 = g.reshape(-1, n_out)
             pairs = []
-            for x, x_data, lo, hi in zip(xs, saved, offsets[:-1], offsets[1:]):
-                if x.requires_grad:
+            for ux, x_shape, lo, hi in slots:
+                if ux is not None:
                     gx = (g2 @ w_data[:, lo:hi]).reshape(out_shape[:-1] + (hi - lo,))
-                    pairs.append((x._uid, _unbroadcast(gx, x.shape)))
-            if weights.requires_grad:
+                    pairs.append((ux, _unbroadcast(gx, x_shape)))
+            if uw is not None:
                 gw = np.empty_like(w_data)
-                for x_data, lo, hi in zip(saved, offsets[:-1], offsets[1:]):
+                for x_data, (_, _, lo, hi) in zip(saved, slots):
                     xb = np.broadcast_to(x_data, out_shape[:-1] + (hi - lo,))
                     gw[:, lo:hi] = g2.T @ xb.reshape(-1, hi - lo)
-                pairs.append((weights._uid, gw))
-            if bias is not None and bias.requires_grad:
-                pairs.append((bias._uid, g2.sum(axis=0)))
+                pairs.append((uw, gw))
+            if ub is not None:
+                pairs.append((ub, g2.sum(axis=0)))
             return pairs
 
         return run
@@ -606,8 +644,8 @@ def relu(x) -> Tensor:
     data = np.maximum(x.data, 0.0)
 
     def backward(out):
-        mask = x.data > 0.0
-        return lambda g: [(x._uid, g * mask)]
+        ux, mask = x._uid, x.data > 0.0
+        return lambda g: [(ux, g * mask)]
 
     return _finish(data, [x], backward)
 
@@ -619,8 +657,8 @@ def sigmoid(x) -> Tensor:
     data = np.where(x.data >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(out):
-        y = out.data
-        return lambda g: [(x._uid, g * y * (1.0 - y))]
+        ux, y = x._uid, out.data
+        return lambda g: [(ux, g * y * (1.0 - y))]
 
     return _finish(data, [x], backward)
 
@@ -649,20 +687,21 @@ def layer_normalize(x, gain, bias) -> Tensor:
     out_data = xhat * gain.data + bias.data
 
     def backward(out):
+        ux, ug, ub = _tracked_uid(x), _tracked_uid(gain), _tracked_uid(bias)
         g_data = gain.data
 
         def run(g):
             pairs = []
-            if x.requires_grad:
+            if ux is not None:
                 h = g * g_data
                 m1 = h.mean(axis=-1, keepdims=True)
                 m2 = np.mean(h * xhat, axis=-1, keepdims=True)
-                pairs.append((x._uid, (h - m1 - xhat * m2) * istd))
-            if gain.requires_grad:
+                pairs.append((ux, (h - m1 - xhat * m2) * istd))
+            if ug is not None:
                 gg = g * xhat
-                pairs.append((gain._uid, gg.reshape(-1, f).sum(axis=0)))
-            if bias.requires_grad:
-                pairs.append((bias._uid, g.reshape(-1, f).sum(axis=0)))
+                pairs.append((ug, gg.reshape(-1, f).sum(axis=0)))
+            if ub is not None:
+                pairs.append((ub, g.reshape(-1, f).sum(axis=0)))
             return pairs
 
         return run
@@ -674,32 +713,37 @@ def layer_normalize(x, gain, bias) -> Tensor:
 # row gather / segment reduction (graph plumbing)
 
 
-def _segment_plan(idx: np.ndarray, n_segments: int):
+def _row_indices(idx, n_rows: int, op: str) -> np.ndarray:
+    """``idx`` as int64, rejecting any entry outside ``[0, n_rows)``."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise ShapeMismatchError(f"{op}: index outside [0, {n_rows})")
+    return idx
+
+
+def _segment_plan(idx: np.ndarray):
     perm = np.argsort(idx, kind="stable")
     sorted_idx = idx[perm]
     starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_idx)) + 1])
-    seg_ids = sorted_idx[starts]
-    if seg_ids.size and seg_ids[-1] >= n_segments:
-        raise ShapeMismatchError("segment index out of range")
-    return perm, starts, seg_ids
+    return perm, starts, sorted_idx[starts]
 
 
 def index_rows(x, idx) -> Tensor:
     """Row gather along axis -2: ``out[..., j, :] = x[..., idx[j], :]``."""
     x = as_tensor(x)
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = _row_indices(idx, x.shape[-2], "index_rows")
     data = np.take(x.data, idx, axis=-2)
 
     def backward(out):
-        n_src = x.shape[-2]
-        perm, starts, seg_ids = _segment_plan(idx, n_src)
+        ux, n_src = x._uid, x.shape[-2]
+        perm, starts, seg_ids = _segment_plan(idx)
 
         def run(g):
             gathered = np.take(g, perm, axis=-2)
             sums = np.add.reduceat(gathered, starts, axis=-2)
             gx = np.zeros(g.shape[:-2] + (n_src, g.shape[-1]), dtype=g.dtype)
             gx[..., seg_ids, :] = sums
-            return [(x._uid, gx)]
+            return [(ux, gx)]
 
         return run
 
@@ -712,20 +756,18 @@ def segment_sum(x, idx, n_segments: int) -> Tensor:
     Buckets receiving no rows are zero vectors.
     """
     x = as_tensor(x)
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = _row_indices(idx, n_segments, "segment_sum")
     if idx.shape != (x.shape[-2],):
         raise ShapeMismatchError(f"segment_sum: idx length {idx.shape} vs rows {x.shape[-2]}")
-    perm, starts, seg_ids = _segment_plan(idx, n_segments)
+    perm, starts, seg_ids = _segment_plan(idx)
     xs = np.take(x.data, perm, axis=-2)
     sums = np.add.reduceat(xs, starts, axis=-2)
     data = np.zeros(x.shape[:-2] + (n_segments, x.shape[-1]), dtype=x.dtype)
     data[..., seg_ids, :] = sums
 
     def backward(out):
-        def run(g):
-            return [(x._uid, np.take(g, idx, axis=-2))]
-
-        return run
+        ux = x._uid
+        return lambda g: [(ux, np.take(g, idx, axis=-2))]
 
     return _finish(data, [x], backward)
 

@@ -60,6 +60,35 @@ class GnnConfig:
         if self.hidden < 1 or self.rounds < 1:
             raise GraphError("hidden width and round count must be >= 1")
 
+    def parameter_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of every parameter, in the order they are initialized.
+
+        Each MLP is two dense layers (``_l1``, ``_l2``, weights ``[n_out,
+        n_in]`` and bias) followed by a layer norm (``_ln_gain``,
+        ``_ln_bias``); the decoder is two dense layers ending in one unit.
+        """
+        h = self.hidden
+        shapes: dict[str, tuple[int, ...]] = {}
+
+        def dense(name, n_out, n_in):
+            shapes[f"{name}_w"] = (n_out, n_in)
+            shapes[f"{name}_b"] = (n_out,)
+
+        def mlp_ln(prefix, n_in):
+            dense(f"{prefix}_l1", h, n_in)
+            dense(f"{prefix}_l2", h, h)
+            shapes[f"{prefix}_ln_gain"] = (h,)
+            shapes[f"{prefix}_ln_bias"] = (h,)
+
+        mlp_ln("enc_node", NODE_FEATURES)
+        mlp_ln("enc_edge", EDGE_FEATURES)
+        for t in range(1 if self.share_processor else self.rounds):
+            mlp_ln(f"proc{t}_edge", 3 * h)
+            mlp_ln(f"proc{t}_node", 2 * h)
+        dense("dec_l1", h, h)
+        dense("dec_l2", 1, h)
+        return shapes
+
 
 @dataclass
 class GraphState:
@@ -78,29 +107,22 @@ class GnnModel:
 
     @classmethod
     def initialize(cls, config: GnnConfig = GnnConfig(), seed: int = 0) -> "GnnModel":
-        """Fresh model with He-initialized layers and identity layer norms."""
+        """Fresh model with He-initialized layers and identity layer norms.
+
+        Dense weights are drawn in :meth:`GnnConfig.parameter_shapes`
+        order; the final decoder layer uses variance ``1/n_in`` instead of
+        ``2/n_in``.  Biases and layer-norm biases are zero, gains one.
+        """
         rng = np.random.default_rng(seed)
-        h = config.hidden
         params: dict[str, np.ndarray] = {}
-
-        def dense(name, n_out, n_in, final=False):
-            std = np.sqrt((1.0 if final else 2.0) / n_in)
-            params[f"{name}_w"] = rng.normal(0.0, std, (n_out, n_in))
-            params[f"{name}_b"] = np.zeros(n_out)
-
-        def mlp_ln(prefix, n_in):
-            dense(f"{prefix}_l1", h, n_in)
-            dense(f"{prefix}_l2", h, h)
-            params[f"{prefix}_ln_gain"] = np.ones(h)
-            params[f"{prefix}_ln_bias"] = np.zeros(h)
-
-        mlp_ln("enc_node", NODE_FEATURES)
-        mlp_ln("enc_edge", EDGE_FEATURES)
-        for t in range(1 if config.share_processor else config.rounds):
-            mlp_ln(f"proc{t}_edge", 3 * h)
-            mlp_ln(f"proc{t}_node", 2 * h)
-        dense("dec_l1", h, h)
-        dense("dec_l2", 1, h, final=True)
+        for name, shape in config.parameter_shapes().items():
+            if name.endswith("_w"):
+                std = np.sqrt((1.0 if name == "dec_l2_w" else 2.0) / shape[1])
+                params[name] = rng.normal(0.0, std, shape)
+            elif name.endswith("_gain"):
+                params[name] = np.ones(shape)
+            else:
+                params[name] = np.zeros(shape)
         return cls(config, params)
 
     def parameter_names(self) -> list[str]:
@@ -316,21 +338,19 @@ def load_checkpoint(path) -> GnnModel:
         rounds=int(doc["rounds"]),
         share_processor=bool(doc["share_processor"]),
     )
-    reference = GnnModel.initialize(config, seed=0)
+    expected = config.parameter_shapes()
     stored = doc.get("params")
     if not isinstance(stored, dict):
         raise CheckpointError("missing params table")
-    if set(stored) != set(reference.params):
-        missing = set(reference.params) - set(stored)
-        extra = set(stored) - set(reference.params)
+    if set(stored) != set(expected):
+        missing = set(expected) - set(stored)
+        extra = set(stored) - set(expected)
         raise CheckpointError(f"parameter names mismatch: missing={sorted(missing)} extra={sorted(extra)}")
     params = {}
     for name, entry in stored.items():
         shape = tuple(entry["shape"])
-        if shape != reference.params[name].shape:
-            raise CheckpointError(
-                f"{name}: stored shape {shape} != expected {reference.params[name].shape}"
-            )
+        if shape != expected[name]:
+            raise CheckpointError(f"{name}: stored shape {shape} != expected {expected[name]}")
         arr = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"{name}: non-finite values")

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -234,6 +236,9 @@ class TestGatherAndSegments:
         y = dc.index_rows(dc.Tensor(x), idx)
         for j, i in enumerate(idx):
             assert np.array_equal(y.data[:, j, :], x[:, i, :])
+        for bad in ([-1, 0], [0, 5]):  # a negative index must not wrap around
+            with pytest.raises(dc.ShapeMismatchError):
+                dc.index_rows(dc.Tensor(x), bad)
 
     def test_segment_sum_matches_loop(self):
         rng = np.random.default_rng(12)
@@ -244,6 +249,9 @@ class TestGatherAndSegments:
         for j, i in enumerate(idx):
             expect[:, i, :] += x[:, j, :]
         assert np.allclose(y.data, expect, atol=1e-15)
+        for bad in ([1, 1, 0, 4, 4, 4, -1], [1, 1, 0, 5, 4, 4, 0]):  # -1 must not land in bucket 4
+            with pytest.raises(dc.ShapeMismatchError):
+                dc.segment_sum(dc.Tensor(x), np.array(bad), 5)
 
     def test_empty_segment_is_zero(self):
         x = np.ones((4, 2))
@@ -432,3 +440,56 @@ def test_every_primitive_gradient_matches_fd(seed):
     for i, (fn, point) in enumerate(cases):
         err = dc.finite_difference_check(fn, point)
         assert err < 1e-4, f"case {i}: rel err {err}"
+
+
+_RNG = np.random.default_rng(18)
+_W = _RNG.normal(size=(2, 4))
+_W_SUM = _RNG.normal(size=(2, 6))
+_OTHER = _RNG.normal(size=(3, 2))
+_C = _RNG.normal(size=(3, 4))
+_POS = _RNG.uniform(0.5, 2.0, (3, 4))
+
+# ops whose backward reads nothing of their input ``h``: every parameter and
+# other operand is a constant, so the op must not keep ``h.data`` alive
+UNREAD_INPUT_OPS = [
+    ("relu", dc.relu),
+    ("sigmoid", dc.sigmoid),
+    ("exp", dc.exp),
+    ("layer_normalize", lambda h: dc.layer_normalize(h, dc.Tensor(_POS[0]), dc.Tensor(_C[0]))),
+    ("affine", lambda h: dc.affine(h, dc.Tensor(_W), dc.Tensor(_W[:, 0]))),
+    ("affine_sum", lambda h: dc.affine_sum([h, dc.Tensor(_OTHER)], dc.Tensor(_W_SUM), dc.Tensor(_W[:, 1]))),
+    ("index_rows", lambda h: dc.index_rows(h, [2, 0, 0, 1])),
+    ("segment_sum", lambda h: dc.segment_sum(h, np.array([1, 0, 1]), 2)),
+    ("clip", lambda h: dc.clip(h, -0.5, 0.5)),
+    ("tensor_sum", lambda h: dc.tensor_sum(h, axis=0)),
+    ("mean", lambda h: dc.mean(h, axis=-1)),
+    ("add", lambda h: dc.add(h, _C)),
+    ("sub", lambda h: dc.sub(_C, h)),
+    ("neg", dc.neg),
+    ("concat", lambda h: dc.concat([h, dc.Tensor(_C)], axis=-1)),
+    ("mul", lambda h: dc.mul(h, _C)),
+    ("div", lambda h: dc.div(h, _POS)),
+    ("matmul", lambda h: dc.matmul(h, dc.Tensor(_W.T))),
+]
+
+
+def _weighted_total(y: dc.Tensor) -> dc.Tensor:
+    """A scalar that reads every output entry with a distinct weight."""
+    return dc.tensor_sum(dc.mul(y, np.cos(np.arange(y.size) + 1.0).reshape(y.shape)))
+
+
+@pytest.mark.parametrize("op", [fn for _, fn in UNREAD_INPUT_OPS], ids=[n for n, _ in UNREAD_INPUT_OPS])
+def test_backward_does_not_retain_unread_input(op):
+    x0 = np.random.default_rng(19).normal(size=(3, 4))
+    x = dc.Tensor(x0, requires_grad=True)
+    with dc.Tape() as tape:
+        h = dc.mul(x, 2.0)
+        freed = weakref.ref(h.data)
+        y = op(h)
+        del h
+        gc.collect()
+        assert freed() is None, "the tape keeps the op's input array alive"
+        total = _weighted_total(y)
+    grad = tape.gradient(total, x)
+    fd = central_difference(lambda v: float(_weighted_total(op(dc.mul(dc.Tensor(v), 2.0))).data), x0, 1e-5)
+    assert np.max(np.abs(grad - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +175,32 @@ class TestPredictAllPairs:
         err = dc.finite_difference_check(objective, w)
         assert err < 1e-3
 
+    def test_tape_retains_only_normalized_states(self):
+        # with fixed parameters, backward needs per processed latent element
+        # one f64 standardized value and one ReLU mask byte; T edge blocks,
+        # T node blocks (the encoder and T-1 updates) and the decoder
+        n = 10
+        links = [(i, (i + 1) % n, 1.0, False) for i in range(n)]
+        links += [(0, 5, 1.0, False), (2, 7, 1.0, False), (3, 9, 1.0, False)]
+        g = ng.build_graph(n, links)
+        config = sg.GnnConfig(hidden=32, rounds=3)
+        model = sg.GnnModel.initialize(config, seed=1)
+        w = dc.Tensor(np.random.default_rng(6).uniform(0.5, 2.0, g.edge_count), requires_grad=True)
+        T, q, E, N, H = config.rounds, g.pair_count, g.edge_count, g.node_count, config.hidden
+        bound = T * q * E * H * 9 + T * q * N * H * 9 + q * E * H * 9 + q * E * 8
+
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with dc.Tape() as tape:
+                P = sg.predict_all_pairs(model, g, w)
+                objective = dc.soft_maximum(dc.tensor_sum(P, axis=0), 1.0)
+                retained = tracemalloc.get_traced_memory()[0] - start
+                tape.gradient(objective, w)
+        finally:
+            tracemalloc.stop()
+        assert retained <= bound, f"tape retains {retained / bound:.2f} of the bound"
+
 
 class TestEquivariance:
     def test_node_relabeling(self, small_graph):
@@ -236,6 +265,23 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(sg.CheckpointError):
             sg.load_checkpoint(path)
+
+    def test_initialize_draws_are_pinned(self):
+        # a change to the draw order or the init scales would move every
+        # model the benchmark builds
+        model = sg.GnnModel.initialize(sg.GnnConfig(hidden=4, rounds=2), seed=0)
+        digest = hashlib.sha256()
+        for name in sorted(model.params):
+            arr = model.params[name]
+            digest.update(name.encode())
+            digest.update(repr(arr.shape).encode())
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == "0b9502e997376f6665f4c576d39f904a29a1385631f94b9fe56547550dc5d409"
+
+    def test_parameter_shapes_match_initialize(self):
+        config = sg.GnnConfig(hidden=5, rounds=3, share_processor=True)
+        model = sg.GnnModel.initialize(config, seed=2)
+        assert {k: v.shape for k, v in model.params.items()} == config.parameter_shapes()
 
 
 class TestSharedProcessor:
