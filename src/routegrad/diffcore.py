@@ -10,17 +10,16 @@ Retention contract: a backward closure never holds an input ``Tensor``.
 When an op records itself it copies each input's uid (``None`` when the
 input needs no gradient) and shape into locals, and the closure keeps
 those plus only the arrays its formula reads.  ReLU and clip keep a
-boolean mask, sigmoid, exp and sqrt their output, layer normalization
-the standardized values and the inverse deviations, a product or
-quotient an operand only when the other side needs its gradient, and a
-linear layer its activations only when its weights need a gradient.  An
+boolean mask, sigmoid and exp their output, layer normalization the
+standardized values and the inverse deviations, a product or quotient
+an operand only when the other side needs its gradient, and a dense
+layer its activations only when its weights need a gradient.  An
 intermediate activation is therefore freed as soon as the forward pass
 drops it, and a batched-GNN gradient with fixed parameters retains
 about one f64 standardized block plus one boolean mask per processed
 latent element, not the whole forward graph.  The exceptions are inputs
-a formula needs (``power`` and ``log`` keep their argument, ``div`` its
-divisor) and views: ``reshape`` and ``transpose`` outputs share their
-input's buffer.
+a formula needs (``log`` keeps its argument, ``div`` its divisor) and
+views: a ``reshape`` output shares its input's buffer.
 
 Also here: the temperature-weighted soft maximum, binary cross-entropy,
 the Adam update rule, and a finite-difference gradient checker.
@@ -116,37 +115,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(value, dtype=None) -> Tensor:
@@ -355,22 +323,6 @@ def neg(a) -> Tensor:
     return _finish(-a.data, [a], backward)
 
 
-def power(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    p = float(exponent)
-    data = a.data**p
-
-    def backward(out):
-        ua, base = a._uid, a.data
-
-        def run(g):
-            return [(ua, g * p * base ** (p - 1.0))]
-
-        return run
-
-    return _finish(data, [a], backward)
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     data = np.exp(a.data)
@@ -389,17 +341,6 @@ def log(a) -> Tensor:
     def backward(out):
         ua, x = a._uid, a.data
         return lambda g: [(ua, g / x)]
-
-    return _finish(data, [a], backward)
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.sqrt(a.data)
-
-    def backward(out):
-        ua, y = a._uid, out.data
-        return lambda g: [(ua, g * 0.5 / y)]
 
     return _finish(data, [a], backward)
 
@@ -468,34 +409,6 @@ def reshape(a, shape) -> Tensor:
     return _finish(data, [a], backward)
 
 
-def transpose(a, axes=None) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.transpose(axes)
-
-    def backward(out):
-        ua, inv = a._uid, None if axes is None else np.argsort(axes)
-        return lambda g: [(ua, g.transpose(inv))]
-
-    return _finish(data, [a], backward)
-
-
-def concat(tensors, axis: int = -1) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in ts], axis=axis)
-
-    def backward(out):
-        uids = [_tracked_uid(t) for t in ts]
-        splits = np.cumsum([t.shape[axis] for t in ts[:-1]])
-
-        def run(g):
-            parts = np.split(g, splits, axis=axis)
-            return [(u, p) for u, p in zip(uids, parts) if u is not None]
-
-        return run
-
-    return _finish(data, ts, backward)
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy batch-broadcast semantics (ndim >= 2)."""
     a, b = as_tensor(a), as_tensor(b)
@@ -528,67 +441,42 @@ def matmul(a, b) -> Tensor:
 
 
 def affine(x, weights, bias=None) -> Tensor:
-    """Dense layer ``y = x @ W.T + b`` over the trailing axis.
+    """Dense layer ``y = x @ W.T + b``: :func:`affine_sum` of the one input ``x``."""
+    return affine_sum([x], weights, bias)
 
-    Args:
-        x: Input of shape ``[..., n_in]``.
-        weights: ``[n_out, n_in]``.
-        bias: ``[n_out]`` or None.
 
-    Under a tape, the backward closure keeps the input activation only
-    when ``weights`` requires a gradient, and the weight matrix only when
-    ``x`` does; it never keeps ``x`` itself, so with fixed weights the
-    activation is freed as soon as the caller drops it.
+def _accumulate(acc: np.ndarray, y: np.ndarray, y_owned: bool) -> np.ndarray:
+    """``acc + y`` for a fresh ``acc``, summed in place when the shapes allow.
+
+    The sum is written into ``acc``, or into ``y`` when the caller owns
+    it, whichever already has the result's shape and dtype.  IEEE addition
+    commutes, so the values are those of ``acc + y`` either way.
     """
-    x, weights = as_tensor(x), as_tensor(weights)
-    bias = None if bias is None else as_tensor(bias)
-    if weights.ndim != 2 or x.shape[-1] != weights.shape[1]:
-        raise ShapeMismatchError(
-            f"affine: x trailing dim {x.shape[-1:]} vs weights {weights.shape}"
-        )
-    if bias is not None and bias.shape != (weights.shape[0],):
-        raise ShapeMismatchError(f"affine: bias shape {bias.shape} vs out dim {weights.shape[0]}")
-
-    n_in = weights.shape[1]
-    n_out = weights.shape[0]
-    xm = x.data.reshape(-1, n_in)
-    out_data = xm @ weights.data.T
-    if bias is not None:
-        out_data += bias.data
-    out_data = out_data.reshape(x.shape[:-1] + (n_out,))
-
-    def backward(out):
-        ux, x_shape = _tracked_uid(x), x.shape
-        uw, ub = _tracked_uid(weights), _tracked_uid(bias)
-        w_data = weights.data if x.requires_grad else None
-        x_saved = xm if weights.requires_grad else None
-
-        def run(g):
-            g2 = g.reshape(-1, n_out)
-            pairs = []
-            if ux is not None:
-                pairs.append((ux, (g2 @ w_data).reshape(x_shape)))
-            if uw is not None:
-                pairs.append((uw, g2.T @ x_saved))
-            if ub is not None:
-                pairs.append((ub, g2.sum(axis=0)))
-            return pairs
-
-        return run
-
-    inputs = [x, weights] + ([bias] if bias is not None else [])
-    return _finish(out_data, inputs, backward)
+    shape, dtype = np.broadcast_shapes(acc.shape, y.shape), np.result_type(acc, y)
+    if acc.shape == shape and acc.dtype == dtype:
+        acc += y
+        return acc
+    if y_owned and y.shape == shape and y.dtype == dtype:
+        y += acc
+        return y
+    return acc + y
 
 
 def affine_sum(xs, weights, bias=None) -> Tensor:
-    """Dense layer over the concatenation of several inputs.
+    """Dense layer ``y = concat(xs, -1) @ W.T + b`` over the trailing axis.
 
-    Equivalent to ``affine(concat(xs, -1), W, b)`` but never materializes
-    the concatenation: the weight matrix is split along its input axis and
-    each piece multiplies its input separately.  Inputs may broadcast
-    against each other over leading axes.  Retention follows
-    :func:`affine`: the inputs are kept only when ``weights`` requires a
-    gradient.
+    Args:
+        xs: Inputs ``[..., n_in_i]`` whose widths tile ``n_in``; they may
+            broadcast against each other over leading axes.
+        weights: ``[n_out, n_in]``.
+        bias: ``[n_out]`` or None.
+
+    The concatenation is never materialized: each input multiplies its own
+    column block of ``weights``, and the products and the bias are summed
+    in place wherever the broadcast shape allows.  Under a tape, the
+    backward closure keeps the inputs only when ``weights`` requires a
+    gradient, and the weight matrix only when an input does, so with fixed
+    weights an activation is freed as soon as the caller drops it.
     """
     xs = [as_tensor(x) for x in xs]
     weights = as_tensor(weights)
@@ -599,20 +487,23 @@ def affine_sum(xs, weights, bias=None) -> Tensor:
             f"affine_sum: input widths {widths} do not tile weights {weights.shape}"
         )
     n_out = weights.shape[0]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
+    if bias is not None and bias.shape != (n_out,):
+        raise ShapeMismatchError(f"affine_sum: bias shape {bias.shape} vs out dim {n_out}")
+    offsets = [0, *itertools.accumulate(widths)]
 
     out_data = None
     for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
         w_part = weights.data[:, lo:hi]
         y = (x.data.reshape(-1, hi - lo) @ w_part.T).reshape(x.shape[:-1] + (n_out,))
-        out_data = y if out_data is None else out_data + y
+        out_data = y if out_data is None else _accumulate(out_data, y, y_owned=True)
     if bias is not None:
-        out_data = out_data + bias.data
+        out_data = _accumulate(out_data, bias.data, y_owned=False)
 
     def backward(out):
         slots = [(_tracked_uid(x), x.shape, lo, hi) for x, lo, hi in zip(xs, offsets[:-1], offsets[1:])]
         uw, ub = _tracked_uid(weights), _tracked_uid(bias)
-        w_data = weights.data
+        w_shape, w_dtype = weights.shape, weights.dtype
+        w_data = weights.data if any(x.requires_grad for x in xs) else None
         saved = [x.data for x in xs] if weights.requires_grad else None
         out_shape = out.shape
 
@@ -624,7 +515,7 @@ def affine_sum(xs, weights, bias=None) -> Tensor:
                     gx = (g2 @ w_data[:, lo:hi]).reshape(out_shape[:-1] + (hi - lo,))
                     pairs.append((ux, _unbroadcast(gx, x_shape)))
             if uw is not None:
-                gw = np.empty_like(w_data)
+                gw = np.empty(w_shape, dtype=w_dtype)
                 for x_data, (_, _, lo, hi) in zip(saved, slots):
                     xb = np.broadcast_to(x_data, out_shape[:-1] + (hi - lo,))
                     gw[:, lo:hi] = g2.T @ xb.reshape(-1, hi - lo)
@@ -721,11 +612,19 @@ def _row_indices(idx, n_rows: int, op: str) -> np.ndarray:
     return idx
 
 
-def _segment_plan(idx: np.ndarray):
+def _scatter_add(x: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
+    """``out[..., i, :] = sum of x[..., j, :] over j with idx[j] == i``.
+
+    Sorts the rows by target once and sums each run with ``reduceat``;
+    targets that receive no rows stay zero.
+    """
     perm = np.argsort(idx, kind="stable")
     sorted_idx = idx[perm]
     starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_idx)) + 1])
-    return perm, starts, sorted_idx[starts]
+    sums = np.add.reduceat(np.take(x, perm, axis=-2), starts, axis=-2)
+    out = np.zeros(x.shape[:-2] + (n_rows, x.shape[-1]), dtype=x.dtype)
+    out[..., sorted_idx[starts], :] = sums
+    return out
 
 
 def index_rows(x, idx) -> Tensor:
@@ -736,16 +635,7 @@ def index_rows(x, idx) -> Tensor:
 
     def backward(out):
         ux, n_src = x._uid, x.shape[-2]
-        perm, starts, seg_ids = _segment_plan(idx)
-
-        def run(g):
-            gathered = np.take(g, perm, axis=-2)
-            sums = np.add.reduceat(gathered, starts, axis=-2)
-            gx = np.zeros(g.shape[:-2] + (n_src, g.shape[-1]), dtype=g.dtype)
-            gx[..., seg_ids, :] = sums
-            return [(ux, gx)]
-
-        return run
+        return lambda g: [(ux, _scatter_add(g, idx, n_src))]
 
     return _finish(data, [x], backward)
 
@@ -759,11 +649,7 @@ def segment_sum(x, idx, n_segments: int) -> Tensor:
     idx = _row_indices(idx, n_segments, "segment_sum")
     if idx.shape != (x.shape[-2],):
         raise ShapeMismatchError(f"segment_sum: idx length {idx.shape} vs rows {x.shape[-2]}")
-    perm, starts, seg_ids = _segment_plan(idx)
-    xs = np.take(x.data, perm, axis=-2)
-    sums = np.add.reduceat(xs, starts, axis=-2)
-    data = np.zeros(x.shape[:-2] + (n_segments, x.shape[-1]), dtype=x.dtype)
-    data[..., seg_ids, :] = sums
+    data = _scatter_add(x.data, idx, n_segments)
 
     def backward(out):
         ux = x._uid

@@ -10,7 +10,7 @@ source-destination pairs follow one fixed enumeration (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -42,18 +42,6 @@ class NotStronglyConnectedError(GraphError):
 
 class DimensionMismatchError(GraphError):
     """A vector or matrix does not match the graph's dimensions."""
-
-
-class EmptyVectorError(GraphError):
-    """An operation requiring a non-empty vector received an empty one."""
-
-
-class EdgeTriple(NamedTuple):
-    """One directed link: traffic flows ``sender -> receiver``."""
-
-    edge_index: int
-    receiver: int
-    sender: int
 
 
 @dataclass(frozen=True)
@@ -137,13 +125,6 @@ class Graph:
     @property
     def pair_count(self) -> int:
         return self.node_count * (self.node_count - 1)
-
-    def edges(self) -> list[EdgeTriple]:
-        """All links as (edge_index, receiver, sender) triples."""
-        return [
-            EdgeTriple(k, int(self.receivers[k]), int(self.senders[k]))
-            for k in range(self.edge_count)
-        ]
 
     def out_edges(self, node: int) -> np.ndarray:
         """Edge indices whose sender is ``node``."""
@@ -244,14 +225,18 @@ def floor_weights(weights: np.ndarray) -> np.ndarray:
 
 
 def validate_weights(g: Graph, weights: np.ndarray) -> np.ndarray:
-    """Checks a weight vector's shape and positivity floor; returns float64 view."""
+    """Checks a weight vector's shape, floor and finiteness; returns float64 view.
+
+    NaN and infinite weights are rejected: Dijkstra never relaxes a NaN
+    link, so it would silently act as removed.
+    """
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (g.edge_count,):
         raise DimensionMismatchError(
             f"weight vector has shape {w.shape}, expected ({g.edge_count},)"
         )
-    if np.any(w < W_MIN):
-        raise GraphError(f"weights below the W_MIN={W_MIN} floor")
+    if not np.all((w >= W_MIN) & (w < np.inf)):
+        raise GraphError(f"weights must be finite and at least the W_MIN={W_MIN} floor")
     return w
 
 
@@ -272,8 +257,8 @@ def validate_demands(g: Graph, demands: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"demand vector has shape {d.shape}, expected ({g.pair_count},)"
         )
-    if np.any(d < 0.0):
-        raise GraphError("demands must be non-negative")
+    if not np.all((d >= 0.0) & (d < np.inf)):
+        raise GraphError("demands must be finite and non-negative")
     return d
 
 
@@ -291,14 +276,6 @@ def utilization(g: Graph, routing: np.ndarray, demands: np.ndarray) -> np.ndarra
         )
     d = validate_demands(g, demands)
     return (d @ P) / g.capacities
-
-
-def max_utilization(rho: np.ndarray) -> float:
-    """Maximum entry of a utilization vector."""
-    r = np.asarray(rho, dtype=np.float64)
-    if r.size == 0:
-        raise EmptyVectorError("utilization vector is empty")
-    return float(r.max())
 
 
 def validate_path_vector(g: Graph, membership: np.ndarray, u: int, v: int) -> None:

@@ -1,10 +1,12 @@
 """Differentiable shortest-path surrogate: an encode-process-decode GNN.
 
-Given a graph, its link weights, and one (source, destination) query, the
-network outputs a per-link probability of lying on the weighted shortest
-path.  Stacking the queries for every ordered node pair yields a soft
-routing matrix that is differentiable with respect to the link weights,
-which is what the weight optimizer descends through.
+Given a graph, its link weights, and a batch of (source, destination)
+queries, the network outputs for each query a per-link probability of
+lying on the weighted shortest path.  :func:`forward` is the one batched
+evaluation; :func:`predict_all_pairs` runs it over every ordered node
+pair, which yields a soft routing matrix that is differentiable with
+respect to the link weights, the matrix the weight optimizer descends
+through.
 
 Architecture: node features ``[I(u=i), I(v=i)]`` and edge features
 ``[w_k]`` are encoded independently by 2-layer MLPs, each followed by
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,13 +36,6 @@ EDGE_FEATURES = 1
 
 class CheckpointError(ValueError):
     """A model checkpoint document is malformed or inconsistent."""
-
-
-class PairQuery(NamedTuple):
-    """One routing question: which links lie on the path source -> dest?"""
-
-    source: int
-    dest: int
 
 
 @dataclass(frozen=True)
@@ -88,14 +82,6 @@ class GnnConfig:
         dense("dec_l1", h, h)
         dense("dec_l2", 1, h)
         return shapes
-
-
-@dataclass
-class GraphState:
-    """Per-node and per-edge latent vectors (leading batch axes allowed)."""
-
-    nodes: dc.Tensor
-    edges: dc.Tensor
 
 
 class GnnModel:
@@ -154,34 +140,19 @@ def _mlp_ln(xs, mt, prefix):
     return dc.layer_normalize(z, mt[f"{prefix}_ln_gain"], mt[f"{prefix}_ln_bias"])
 
 
-def _encode(g: Graph, w_col: dc.Tensor, indicators: dc.Tensor, mt) -> GraphState:
-    return GraphState(
-        nodes=_mlp_ln([indicators], mt, "enc_node"),
-        edges=_mlp_ln([w_col], mt, "enc_edge"),
-    )
-
-
-def _process(g: Graph, state: GraphState, mt, prefix: str, update_nodes: bool = True) -> GraphState:
-    recv = dc.index_rows(state.nodes, g.receivers)
-    send = dc.index_rows(state.nodes, g.senders)
-    edges = _mlp_ln([state.edges, recv, send], mt, f"{prefix}_edge")
-    if not update_nodes:
-        return GraphState(nodes=state.nodes, edges=edges)
-    agg = dc.segment_sum(edges, g.receivers, g.node_count)
-    nodes = _mlp_ln([agg, state.nodes], mt, f"{prefix}_node")
-    return GraphState(nodes=nodes, edges=edges)
-
-
-def _decode(state: GraphState, mt) -> dc.Tensor:
-    h = dc.relu(dc.affine(state.edges, mt["dec_l1_w"], mt["dec_l1_b"]))
+def _decode(edges, mt) -> dc.Tensor:
+    h = dc.relu(dc.affine(edges, mt["dec_l1_w"], mt["dec_l1_b"]))
     p = dc.sigmoid(dc.affine(h, mt["dec_l2_w"], mt["dec_l2_b"]))
     return dc.reshape(p, p.shape[:-1])
 
 
 def query_indicators(g: Graph, queries, dtype=np.float64) -> np.ndarray:
     """Node feature block for a batch of queries: [I(u=i), I(v=i)] per node."""
-    ind = np.zeros((len(queries), g.node_count, NODE_FEATURES), dtype=dtype)
+    n = g.node_count
+    ind = np.zeros((len(queries), n, NODE_FEATURES), dtype=dtype)
     for row, (u, v) in enumerate(queries):
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"query ({u}, {v}) has an endpoint outside [0, {n})")
         if u == v:
             raise GraphError("query endpoints must differ")
         ind[row, u, 0] = 1.0
@@ -227,57 +198,29 @@ def forward(
     w_col = dc.reshape(w, (1, g.edge_count, 1))
     ind = dc.Tensor(np.ascontiguousarray(indicators, dtype=dtype))
 
-    state = _encode(g, w_col, ind, mt)
+    nodes = _mlp_ln([ind], mt, "enc_node")
+    edges = _mlp_ln([w_col], mt, "enc_edge")
     steps: list[dc.Tensor] = []
     final = None
     rounds = model.config.rounds
     for t in range(rounds):
         last = t == rounds - 1
+        prefix = model.block_prefix(t)
+        # gathered and aggregated blocks are passed inline so that they are
+        # freed as soon as the layer reading them returns
+        edges = _mlp_ln(
+            [edges, dc.index_rows(nodes, g.receivers), dc.index_rows(nodes, g.senders)], mt, f"{prefix}_edge"
+        )
         # the final node update feeds nothing the decoder can see
-        state = _process(g, state, mt, model.block_prefix(t), update_nodes=not last)
+        if not last:
+            nodes = _mlp_ln([dc.segment_sum(edges, g.receivers, g.node_count), nodes], mt, f"{prefix}_node")
         if per_step or last:
-            out = _decode(state, mt)
+            out = _decode(edges, mt)
             if per_step:
                 steps.append(out)
             if last:
                 final = out
     return final, steps
-
-
-def encode(g: Graph, weights, query: PairQuery, model: GnnModel) -> GraphState:
-    """Initial latents for a single query (latents shaped [n_v|n_e, H])."""
-    mt = model.tensors()
-    w = weights if isinstance(weights, dc.Tensor) else dc.Tensor(np.asarray(weights, dtype=np.float64))
-    w_col = dc.reshape(w, (1, g.edge_count, 1))
-    ind = dc.Tensor(query_indicators(g, [query]))
-    state = _encode(g, w_col, ind, mt)
-    return GraphState(
-        nodes=dc.reshape(state.nodes, (g.node_count, model.config.hidden)),
-        edges=dc.reshape(state.edges, (g.edge_count, model.config.hidden)),
-    )
-
-
-def process_step(g: Graph, state: GraphState, model: GnnModel, round_index: int = 0) -> GraphState:
-    """One full message-passing block (edge update, aggregate, node update)."""
-    return _process(g, state, model.tensors(), model.block_prefix(round_index))
-
-
-def decode(state: GraphState, model: GnnModel) -> dc.Tensor:
-    """Per-edge path-membership probabilities, strictly inside (0, 1)."""
-    return _decode(state, model.tensors())
-
-
-def predict_path(model: GnnModel, g: Graph, weights, query: PairQuery):
-    """Edge probabilities for one query, plus every round's output.
-
-    Returns:
-        ``(probs, steps)`` with ``probs`` shaped ``[n_e]`` and ``steps`` a
-        list of T such tensors (the last one equals ``probs``).
-    """
-    ind = query_indicators(g, [query])
-    final, steps = forward(g, weights, ind, model, per_step=True)
-    squeeze = lambda t: dc.reshape(t, (g.edge_count,))
-    return squeeze(final), [squeeze(s) for s in steps]
 
 
 def predict_all_pairs(model: GnnModel, g: Graph, weights, dtype=np.float64) -> dc.Tensor:
@@ -321,12 +264,28 @@ def save_checkpoint(model: GnnModel, path) -> None:
 
 
 def load_checkpoint(path) -> GnnModel:
-    """Reads a checkpoint, validating structure, names, and shapes."""
+    """Reads a checkpoint, validating structure, names, and shapes.
+
+    Raises:
+        CheckpointError: for any document that is not a well-formed
+            checkpoint of this implementation.
+    """
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"not valid JSON: {exc}") from exc
+    try:
+        return _model_from_document(doc)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
+
+
+def _model_from_document(doc) -> GnnModel:
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"top level is a {type(doc).__name__}, not an object")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unknown checkpoint format {doc.get('format')!r}")
     if doc.get("version") != CHECKPOINT_VERSION:

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -85,8 +86,8 @@ class TestAffineSum:
         W = rng.normal(size=(4, 5))
         b = rng.normal(size=4)
         lhs = dc.affine_sum([dc.Tensor(x1), dc.Tensor(x2)], dc.Tensor(W), dc.Tensor(b))
-        rhs = dc.affine(dc.concat([dc.Tensor(x1), dc.Tensor(x2)], axis=-1), dc.Tensor(W), dc.Tensor(b))
-        assert np.allclose(lhs.data, rhs.data, atol=1e-14)
+        rhs = np.concatenate([x1, x2], axis=-1) @ W.T + b
+        assert np.allclose(lhs.data, rhs, atol=1e-14)
 
     def test_broadcast_leading_axis(self):
         rng = np.random.default_rng(4)
@@ -95,6 +96,23 @@ class TestAffineSum:
         W = rng.normal(size=(5, 5))
         y = dc.affine_sum([dc.Tensor(x1), dc.Tensor(x2)], dc.Tensor(W))
         expect = np.concatenate([np.broadcast_to(x1, (4, 6, 3)), x2], axis=-1) @ W.T
+        assert np.allclose(y.data, expect, atol=1e-13)
+
+    def test_sums_in_place(self):
+        # the products and the bias are summed into an operand that already
+        # has the output's shape, so at most one product lives beside it
+        rng = np.random.default_rng(20)
+        shapes = [(1, 32, 16), (64, 32, 16), (64, 32, 16)]
+        xs = [dc.Tensor(rng.normal(size=shape)) for shape in shapes]
+        W, b = rng.normal(size=(16, 48)), rng.normal(size=16)
+        tracemalloc.start()
+        try:
+            y = dc.affine_sum(xs, dc.Tensor(W), dc.Tensor(b))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * y.data.nbytes, f"peak {peak / y.data.nbytes:.2f} outputs"
+        expect = np.concatenate(np.broadcast_arrays(*(x.data for x in xs)), axis=-1) @ W.T + b
         assert np.allclose(y.data, expect, atol=1e-13)
 
     def test_gradients_including_broadcast(self):
@@ -418,23 +436,20 @@ def test_every_primitive_gradient_matches_fd(seed):
     idx = rng.integers(0, 3, 5)
 
     cases = [
-        (lambda t: dc.tensor_sum(dc.add(t, 2.0 * t)), x),
+        (lambda t: dc.tensor_sum(dc.add(t, dc.mul(t, 2.0))), x),
         (lambda t: dc.tensor_sum(dc.sub(3.0, t)), x),
         (lambda t: dc.tensor_sum(dc.mul(t, t)), x),
         (lambda t: dc.tensor_sum(dc.div(1.0, t)), pos),
-        (lambda t: dc.tensor_sum(dc.power(t, 3.0)), pos),
         (lambda t: dc.tensor_sum(dc.exp(dc.mul(t, 0.3))), x),
         (lambda t: dc.tensor_sum(dc.log(t)), pos),
-        (lambda t: dc.tensor_sum(dc.sqrt(t)), pos),
         (lambda t: dc.tensor_sum(dc.relu(t)), pos),
         (lambda t: dc.tensor_sum(dc.sigmoid(t)), x),
         (lambda t: dc.tensor_sum(dc.matmul(t, dc.Tensor(W.T))), x),
         (lambda t: dc.mean(dc.affine(t, dc.Tensor(W), dc.Tensor(b))), x),
         (lambda t: dc.tensor_sum(dc.layer_normalize(t, dc.Tensor(gain), dc.Tensor(np.zeros(4)))), x),
-        (lambda t: dc.tensor_sum(dc.sigmoid(dc.index_rows(dc.transpose(t), idx))), x),
+        (lambda t: dc.tensor_sum(dc.sigmoid(dc.index_rows(t, idx))), x.T),
         (lambda t: dc.tensor_sum(dc.sigmoid(dc.segment_sum(t, np.array([1, 0, 1]), 2))), x),
         (lambda t: dc.soft_maximum(dc.reshape(t, (12,)), 0.5), pos),
-        (lambda t: dc.mean(dc.concat([t, dc.mul(t, 2.0)], axis=-1)), x),
         (lambda t: dc.tensor_sum(dc.clip(t, -0.5, 0.5)), x + 0.01),
     ]
     for i, (fn, point) in enumerate(cases):
@@ -466,7 +481,6 @@ UNREAD_INPUT_OPS = [
     ("add", lambda h: dc.add(h, _C)),
     ("sub", lambda h: dc.sub(_C, h)),
     ("neg", dc.neg),
-    ("concat", lambda h: dc.concat([h, dc.Tensor(_C)], axis=-1)),
     ("mul", lambda h: dc.mul(h, _C)),
     ("div", lambda h: dc.div(h, _POS)),
     ("matmul", lambda h: dc.matmul(h, dc.Tensor(_W.T))),

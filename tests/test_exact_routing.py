@@ -108,8 +108,8 @@ class TestPathVector:
         w = np.ones(g.edge_count)
         p = xr.path_vector(g, w, 0, 2)
         ng.validate_path_vector(g, p, 0, 2)
-        used = [g.edges()[k] for k in np.flatnonzero(p)]
-        nodes_on_path = {t.sender for t in used} | {t.receiver for t in used}
+        used = np.flatnonzero(p)
+        nodes_on_path = set(g.senders[used].tolist()) | set(g.receivers[used].tolist())
         assert nodes_on_path == {0, 1, 2}
 
     def test_every_path_validates(self):
