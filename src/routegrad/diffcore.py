@@ -618,12 +618,13 @@ def _scatter_add(x: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
     Sorts the rows by target once and sums each run with ``reduceat``;
     targets that receive no rows stay zero.
     """
+    out = np.zeros(x.shape[:-2] + (n_rows, x.shape[-1]), dtype=x.dtype)
+    if idx.size == 0:  # reduceat rejects an empty run list
+        return out
     perm = np.argsort(idx, kind="stable")
     sorted_idx = idx[perm]
     starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_idx)) + 1])
-    sums = np.add.reduceat(np.take(x, perm, axis=-2), starts, axis=-2)
-    out = np.zeros(x.shape[:-2] + (n_rows, x.shape[-1]), dtype=x.dtype)
-    out[..., sorted_idx[starts], :] = sums
+    out[..., sorted_idx[starts], :] = np.add.reduceat(np.take(x, perm, axis=-2), starts, axis=-2)
     return out
 
 

@@ -1,8 +1,11 @@
-"""Exact weighted shortest-path routing (Dijkstra) with deterministic ties.
+"""Exact weighted shortest-path routing with deterministic ties.
 
 Produces the ground truth consumed everywhere else: per-pair path
 vectors, the stacked all-pairs routing matrix, and a fast exact
-link-load evaluator used by the optimizers.
+link-load evaluator used by the optimizers.  All of them read one
+computation, :func:`_trees`, which finds the shortest-path trees of many
+sources at once with numpy min-plus rounds; its distances equal those of
+a heap-based Dijkstra run per source bit for bit.
 
 Tie-breaking is part of the contract: among equal-cost alternatives the
 predecessor with the lowest sender node index wins, so identical inputs
@@ -11,11 +14,9 @@ always yield identical paths regardless of platform or iteration order.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
-from .netgraph import Graph, GraphError, pair_index, validate_demands, validate_weights
+from .netgraph import Graph, GraphError, validate_demands, validate_weights
 
 
 class UnreachableError(GraphError):
@@ -24,6 +25,55 @@ class UnreachableError(GraphError):
 
 class SameEndpointsError(GraphError):
     """A path was requested from a node to itself."""
+
+
+def _trees(g: Graph, w: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest-path trees of ``sources`` under validated weights ``w``.
+
+    Returns ``(dist, pred)``, both ``[len(sources), n]``: row i holds the
+    path costs from ``sources[i]`` and, per node, the final link of its
+    chosen path (``-1`` at the source).
+
+    Distances come from Jacobi min-plus rounds: every round relaxes every
+    link from every source at once, ``D'[v] = min(D[v], min over in-links
+    k of fl(D[s_k] + w_k))``, starting from 0 at the source and inf
+    elsewhere, until a round changes nothing.  Heap-based Dijkstra ends
+    with ``dist[v] = fl(dist[p] + w_k)`` for the link k from p that last
+    lowered it, and with no link able to lower any node further.  By
+    induction over that tree's depth, round t has reached Dijkstra's value
+    at every node within t links of the source, and no round goes below
+    it, since rounding is monotone; so at most ``n - 1`` rounds end on
+    Dijkstra's distances exactly.  A round that changes nothing has
+    reached a fixed point, and every later round would repeat it, so
+    stopping there is exact.  ``validate_weights`` keeps every weight in
+    ``[W_MIN, W_MAX]``, which makes every path sum strictly increase
+    (``fl(d + w) > d``): the fixed point is then unique, and the chosen
+    predecessors form a tree whose sender is always strictly closer.
+    """
+    n, senders, receivers = g.node_count, g.senders, g.receivers
+    rows = np.arange(sources.size)
+    dist = np.full((sources.size, n), np.inf)
+    dist[rows, sources] = 0.0
+    if g.edge_count == 0:  # a single node
+        return dist, np.full((sources.size, n), -1, dtype=np.int64)
+    # links grouped by receiver, lowest sender first inside each group
+    order = np.lexsort((senders, receivers))
+    starts = np.searchsorted(receivers[order], np.arange(n))
+    s_sorted, w_sorted = senders[order], w[order]
+    while True:
+        cand = dist[:, s_sorted] + w_sorted
+        new = np.minimum(dist, np.minimum.reduceat(cand, starts, axis=1))
+        if np.array_equal(new, dist):
+            break
+        dist = new
+    if np.isinf(dist).any():
+        raise UnreachableError("nodes unreachable from a source; graph state is corrupt")
+
+    # Lowest-sender tie-break: the first link of each receiver's group that
+    # closes a shortest path.  ``cand`` was computed from the final ``dist``.
+    # No link closes one at the source (``cand >= W_MIN > 0``), so it gets -1.
+    hit = np.where(cand == dist[:, receivers[order]], np.arange(order.size), order.size)
+    return dist, np.append(order, -1)[np.minimum.reduceat(hit, starts, axis=1)]
 
 
 def shortest_path_tree(g: Graph, weights: np.ndarray, src: int) -> tuple[np.ndarray, np.ndarray]:
@@ -41,44 +91,10 @@ def shortest_path_tree(g: Graph, weights: np.ndarray, src: int) -> tuple[np.ndar
         path, the one with the lowest sender index is chosen.
     """
     w = validate_weights(g, weights)
-    n = g.node_count
-    if not 0 <= src < n:
+    if not 0 <= src < g.node_count:
         raise GraphError(f"source index {src} out of range")
-
-    dist = np.full(n, np.inf)
-    dist[src] = 0.0
-    settled = np.zeros(n, dtype=bool)
-    heap: list[tuple[float, int]] = [(0.0, src)]
-    receivers = g.receivers
-    while heap:
-        d_u, u = heapq.heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = True
-        for k in g.out_edges(u):
-            v = receivers[k]
-            nd = d_u + w[k]
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, int(v)))
-
-    if not settled.all():
-        raise UnreachableError(f"nodes unreachable from {src}; graph state is corrupt")
-
-    # Predecessor pass: every relaxation order yields the same distances,
-    # so the tie-break can be applied afterwards against the final values.
-    pred = np.full(n, -1, dtype=np.int64)
-    best_sender = np.full(n, n, dtype=np.int64)
-    senders = g.senders
-    for k in range(g.edge_count):
-        v = receivers[k]
-        if v == src:
-            continue
-        s = senders[k]
-        if dist[s] + w[k] == dist[v] and s < best_sender[v]:
-            best_sender[v] = s
-            pred[v] = k
-    return dist, pred
+    dist, pred = _trees(g, w, np.array([src]))
+    return dist[0], pred[0]
 
 
 def path_edges(g: Graph, pred: np.ndarray, src: int, dst: int) -> list[int]:
@@ -109,44 +125,52 @@ def routing_matrix(g: Graph, weights: np.ndarray) -> np.ndarray:
     """All-pairs routing matrix: one path vector per ordered pair.
 
     Row ``pair_index(n, u, v)`` satisfies the :func:`path_vector`
-    contract for (u, v).
+    contract for (u, v).  The predecessor links of every pair are walked
+    back together, one hop per iteration.
     """
     n = g.node_count
+    _, pred = _trees(g, validate_weights(g, weights), np.arange(n))
+    u, v = np.nonzero(~np.eye(n, dtype=bool))  # ordered_pairs order
     P = np.zeros((g.pair_count, g.edge_count))
-    for u in range(n):
-        _, pred = shortest_path_tree(g, weights, u)
-        for v in range(n):
-            if v == u:
-                continue
-            P[pair_index(n, u, v), path_edges(g, pred, u, v)] = 1.0
+    pair = np.arange(g.pair_count)
+    while pair.size:
+        k = pred[u, v]
+        P[pair, k] = 1.0
+        v = g.senders[k]
+        walking = v != u
+        pair, u, v = pair[walking], u[walking], v[walking]
     return P
 
 
 def link_loads(g: Graph, weights: np.ndarray, demands: np.ndarray) -> np.ndarray:
     """Exact per-link traffic without materializing the routing matrix.
 
-    For every source the demand of each destination is pushed down the
-    shortest-path tree in one sweep (descending distance order), so the
-    cost per source is one Dijkstra run plus O(n).  Matches
-    ``demands @ routing_matrix`` exactly up to summation order.
+    Every source's demands are pushed down its shortest-path tree in one
+    sweep over nodes in descending distance (ties: the higher index
+    first), all sources moving together one rank at a time; each node
+    hands its carried traffic to its predecessor link and that link's
+    sender.  The per-source loads are then added up in source order, so
+    every sum runs in the order of a separate sweep per source.  Matches
+    ``demands @ routing_matrix`` up to summation order.
     """
+    w = validate_weights(g, weights)
     d = validate_demands(g, demands)
     n = g.node_count
+    dist, pred = _trees(g, w, np.arange(n))
+    rows = np.arange(n)
+    carry = np.zeros((n, n))
+    carry[~np.eye(n, dtype=bool)] = d
+    # the source alone has distance 0, so it comes last and is never swept
+    rank = np.argsort(dist, axis=1, kind="stable")[:, ::-1]
+    per_source = np.zeros((n, g.edge_count))
+    for v in rank[:, :-1].T:
+        k = pred[rows, v]
+        c = carry[rows, v]
+        per_source[rows, k] = c
+        carry[rows, g.senders[k]] += c
     loads = np.zeros(g.edge_count)
-    carry = np.empty(n)
-    for u in range(n):
-        dist, pred = shortest_path_tree(g, weights, u)
-        base = u * (n - 1)
-        for v in range(n):
-            if v != u:
-                carry[v] = d[base + (v if v < u else v - 1)]
-        carry[u] = 0.0
-        for v in np.argsort(dist, kind="stable")[::-1]:
-            if v == u:
-                continue
-            k = pred[v]
-            loads[k] += carry[v]
-            carry[g.senders[k]] += carry[v]
+    for row in per_source:  # in source order; np.sum may add pairwise
+        loads += row
     return loads
 
 

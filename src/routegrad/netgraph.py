@@ -9,7 +9,7 @@ source-destination pairs follow one fixed enumeration (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -18,6 +18,13 @@ import numpy as np
 # otherwise drive weights to zero or below, which breaks shortest-path
 # semantics.
 W_MIN = 1e-3
+# Ceiling on link weights (OSPF weights are at most 65535).  A simple path
+# has at most n-1 links, so its cost is at most (n-1)*W_MAX, and that is at
+# most W_MIN * 2**52 for n below 4.5 million: adding any valid weight to
+# any path cost then raises it by at least one unit in the last place, so
+# float path sums strictly increase.  Without the ceiling, 1e14 + 1e-3 ==
+# 1e14 and equal-cost cycles of real links make a predecessor cycle.
+W_MAX = 1e6
 
 
 class GraphError(ValueError):
@@ -66,8 +73,6 @@ class Graph:
     senders: np.ndarray
     capacities: np.ndarray
     name: str = ""
-    # edge indices grouped by sender, built once for Dijkstra sweeps
-    _out_edges: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = int(self.node_count)
@@ -107,13 +112,7 @@ class Graph:
         senders.setflags(write=False)
         capacities.setflags(write=False)
 
-        out: list[list[int]] = [[] for _ in range(n)]
-        for k in range(senders.size):
-            out[int(senders[k])].append(k)
-        object.__setattr__(
-            self, "_out_edges", tuple(np.asarray(e, dtype=np.int64) for e in out)
-        )
-        if not _strongly_connected(n, senders, receivers, self._out_edges):
+        if not _strongly_connected(n, senders, receivers):
             raise NotStronglyConnectedError(
                 f"graph {self.name!r} is not strongly connected"
             )
@@ -126,12 +125,8 @@ class Graph:
     def pair_count(self) -> int:
         return self.node_count * (self.node_count - 1)
 
-    def out_edges(self, node: int) -> np.ndarray:
-        """Edge indices whose sender is ``node``."""
-        return self._out_edges[node]
 
-
-def _strongly_connected(n, senders, receivers, out_edges) -> bool:
+def _strongly_connected(n, senders, receivers) -> bool:
     # BFS forward from node 0 and BFS over reversed edges; reaching every
     # node both ways is equivalent to strong connectivity.
     if n == 1:
@@ -220,23 +215,24 @@ def pair_index(node_count: int, u: int, v: int) -> int:
 
 
 def floor_weights(weights: np.ndarray) -> np.ndarray:
-    """Projects a weight vector onto the valid domain ``[W_MIN, inf)``."""
-    return np.maximum(np.asarray(weights, dtype=np.float64), W_MIN)
+    """Projects a weight vector onto the valid domain ``[W_MIN, W_MAX]``."""
+    return np.clip(np.asarray(weights, dtype=np.float64), W_MIN, W_MAX)
 
 
 def validate_weights(g: Graph, weights: np.ndarray) -> np.ndarray:
-    """Checks a weight vector's shape, floor and finiteness; returns float64 view.
+    """Checks a weight vector's shape and range; returns float64 view.
 
-    NaN and infinite weights are rejected: Dijkstra never relaxes a NaN
-    link, so it would silently act as removed.
+    Weights must lie in ``[W_MIN, W_MAX]`` (see :data:`W_MAX` for why the
+    ceiling).  NaN fails the range test: a NaN link is never relaxed, so it
+    would silently act as removed.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (g.edge_count,):
         raise DimensionMismatchError(
             f"weight vector has shape {w.shape}, expected ({g.edge_count},)"
         )
-    if not np.all((w >= W_MIN) & (w < np.inf)):
-        raise GraphError(f"weights must be finite and at least the W_MIN={W_MIN} floor")
+    if not np.all((w >= W_MIN) & (w <= W_MAX)):
+        raise GraphError(f"weights must lie in [W_MIN, W_MAX] = [{W_MIN}, {W_MAX}]")
     return w
 
 
@@ -245,10 +241,11 @@ def default_ospf_weights(g: Graph) -> np.ndarray:
 
     ``w_k = C_ref / c_k`` with ``C_ref`` the largest capacity in the
     graph, so the best-provisioned link gets weight exactly 1 and
-    uniform-capacity networks get all-ones weights.
+    uniform-capacity networks get all-ones weights.  Capacities more than
+    ``W_MAX`` apart give weights clipped to ``W_MAX``.
     """
     c = g.capacities
-    return np.maximum(c.max() / c, W_MIN)
+    return floor_weights(c.max() / c)
 
 
 def validate_demands(g: Graph, demands: np.ndarray) -> np.ndarray:

@@ -1,11 +1,15 @@
 """Independent brute-force oracles used across the test suite.
 
-Everything here is deliberately naive: exhaustive enumeration and
-one-demand-at-a-time accumulation.  These functions never call the
-library's routing or utilization code paths.
+Everything here is deliberately naive: exhaustive enumeration,
+one-demand-at-a-time accumulation, and plain-Python heap Dijkstra with
+one tree sweep per source, which the all-sources evaluator must match
+bit for bit.  These functions never call the library's routing or
+utilization code paths.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -48,6 +52,83 @@ def accumulate_loads(n_edges, path_edges_per_pair, demands):
         for k in edges:
             loads[k] += d
     return loads
+
+
+def heap_shortest_path_tree(n_nodes, senders, receivers, weights, src):
+    """One-source Dijkstra with a binary heap, then the tie-break pass.
+
+    Returns ``(dist, pred)`` under the library's contract: ``pred[v]`` is
+    the final link of v's path, the lowest sender winning among links that
+    close an equal-cost path, and ``pred[src] == -1``.
+    """
+    out = [[] for _ in range(n_nodes)]
+    for k in range(len(senders)):
+        out[senders[k]].append(k)
+    dist = np.full(n_nodes, np.inf)
+    dist[src] = 0.0
+    settled = np.zeros(n_nodes, dtype=bool)
+    heap = [(0.0, src)]
+    while heap:
+        d_u, u = heapq.heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        for k in out[u]:
+            v = receivers[k]
+            nd = d_u + weights[k]
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, int(v)))
+    assert settled.all(), f"nodes unreachable from {src}"
+    pred = np.full(n_nodes, -1, dtype=np.int64)
+    best_sender = np.full(n_nodes, n_nodes, dtype=np.int64)
+    for k in range(len(senders)):
+        v, s = receivers[k], senders[k]
+        if v != src and dist[s] + weights[k] == dist[v] and s < best_sender[v]:
+            best_sender[v] = s
+            pred[v] = k
+    return dist, pred
+
+
+def sweep_link_loads(n_nodes, senders, receivers, weights, demands):
+    """Per-link load by one tree sweep per source, in source order.
+
+    Each source's demands are carried from the farthest node inward
+    (descending distance, the higher index first among equals); a node
+    adds its carried traffic to its predecessor link and to that link's
+    sender.
+    """
+    loads = np.zeros(len(senders))
+    for u in range(n_nodes):
+        dist, pred = heap_shortest_path_tree(n_nodes, senders, receivers, weights, u)
+        carry = np.zeros(n_nodes)
+        for v in range(n_nodes):
+            if v != u:
+                carry[v] = demands[u * (n_nodes - 1) + (v if v < u else v - 1)]
+        for v in np.argsort(dist, kind="stable")[::-1]:
+            if v == u:
+                continue
+            k = pred[v]
+            loads[k] += carry[v]
+            carry[senders[k]] += carry[v]
+    return loads
+
+
+def walked_routing_matrix(n_nodes, senders, receivers, weights):
+    """Routing matrix built by walking each pair's predecessors back."""
+    P = np.zeros((n_nodes * (n_nodes - 1), len(senders)))
+    i = 0
+    for u in range(n_nodes):
+        _, pred = heap_shortest_path_tree(n_nodes, senders, receivers, weights, u)
+        for v in range(n_nodes):
+            if v == u:
+                continue
+            node = v
+            while node != u:
+                P[i, pred[node]] = 1.0
+                node = senders[pred[node]]
+            i += 1
+    return P
 
 
 def softmax_temperature_reference(x, tau):

@@ -28,3 +28,14 @@ def test_traced_train_step_runs_and_restores_originals():
     assert totals["surrogate.forward"][0] == 1
     assert totals["diffcore.affine"][0] > 0 and totals["diffcore.affine_sum"][0] > 0
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
+
+
+def test_traced_search_step_evaluates_once():
+    # one candidate is one exact evaluation: its weights are checked once,
+    # not once per Dijkstra source
+    work = workloads.SearchN50(1)
+    with spans.installed(spans.Tracer()) as tracer:
+        assert work.step() == 1
+    totals = tracer.totals()
+    assert totals["exact_routing.link_loads"][0] == 1
+    assert totals["netgraph.validate_weights"][0] == 1

@@ -278,6 +278,12 @@ class TestGatherAndSegments:
         assert np.array_equal(y.data[2], np.zeros(2))
         assert np.array_equal(y.data[4], np.zeros(2))
 
+    def test_empty_index_gives_zeros(self):
+        y = dc.segment_sum(dc.Tensor(np.zeros((0, 3))), [], 2)
+        assert np.array_equal(y.data, np.zeros((2, 3)))
+        (g,) = taped_gradient(lambda x: dc.tensor_sum(dc.index_rows(x, [])), np.ones((4, 3)))
+        assert np.array_equal(g, np.zeros((4, 3)))
+
     def test_segment_sum_permutation_invariant(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(6, 3))

@@ -4,7 +4,14 @@ import pytest
 from routegrad import exact_routing as xr
 from routegrad import netgraph as ng
 
-from oracles import accumulate_loads, enumerate_simple_paths, min_path_cost
+from oracles import (
+    accumulate_loads,
+    enumerate_simple_paths,
+    heap_shortest_path_tree,
+    min_path_cost,
+    sweep_link_loads,
+    walked_routing_matrix,
+)
 
 
 def triangle():
@@ -217,3 +224,85 @@ def test_brute_force_optimality_on_small_graphs():
             p = xr.path_vector(g, w, int(u), int(v))
             brute = min_path_cost(g.node_count, g.senders.tolist(), g.receivers.tolist(), w, u, v)
             assert p @ w <= brute + 1e-12
+
+
+def ring_with_chords(rng, n_nodes, chords):
+    """Undirected ring plus random undirected chords, mixed capacities."""
+    assert chords <= n_nodes * (n_nodes - 3) // 2, "more chords than node pairs off the ring"
+    caps = (1.0, 2.5, 10.0)
+    links = [(i, (i + 1) % n_nodes, rng.choice(caps), False) for i in range(n_nodes)]
+    present = {frozenset((a, b)) for a, b, _, _ in links}
+    while chords > 0:
+        a, b = (int(x) for x in rng.integers(0, n_nodes, 2))
+        if a != b and frozenset((a, b)) not in present:
+            present.add(frozenset((a, b)))
+            links.append((a, b, rng.choice(caps), False))
+            chords -= 1
+    return ng.build_graph(n_nodes, links)
+
+
+WEIGHT_SETS = {
+    "uniform": lambda rng, g: rng.uniform(1.0, 20.0, g.edge_count),
+    "integers": lambda rng, g: rng.integers(1, 21, g.edge_count).astype(np.float64),
+    "ones": lambda rng, g: np.ones(g.edge_count),
+    "ospf": lambda rng, g: ng.default_ospf_weights(g),
+    "tenths": lambda rng, g: rng.choice([0.1, 0.2, 0.3], g.edge_count),  # inexact sums
+    "log_uniform": lambda rng, g: np.exp(rng.uniform(np.log(ng.W_MIN), np.log(ng.W_MAX), g.edge_count)),
+}
+
+
+@pytest.mark.parametrize("weights", sorted(WEIGHT_SETS))
+@pytest.mark.parametrize("n_nodes", [5, 12, 24, 50])
+def test_bitwise_equal_to_heap_dijkstra(n_nodes, weights):
+    rng = np.random.default_rng(n_nodes)
+    for _ in range(2):
+        g = ring_with_chords(rng, n_nodes, chords=n_nodes * 4 // 5)
+        w = WEIGHT_SETS[weights](rng, g)
+        d = rng.uniform(0.0, 10.0, g.pair_count)
+        graph = (n_nodes, g.senders.tolist(), g.receivers.tolist(), w)
+        trees = [heap_shortest_path_tree(*graph, u) for u in range(n_nodes)]
+        dist, pred = xr._trees(g, w, np.arange(n_nodes))
+        assert np.array_equal(dist, np.array([t[0] for t in trees]))
+        assert np.array_equal(pred, np.array([t[1] for t in trees]))
+        for u in (0, n_nodes - 1):
+            one_dist, one_pred = xr.shortest_path_tree(g, w, u)
+            assert np.array_equal(one_dist, trees[u][0]) and np.array_equal(one_pred, trees[u][1])
+        assert np.array_equal(xr.link_loads(g, w, d), sweep_link_loads(*graph, d))
+        assert np.array_equal(xr.routing_matrix(g, w), walked_routing_matrix(*graph))
+
+
+class TestWeightCeiling:
+    """Above W_MAX, 1e14 + 1e-3 == 1e14 lets the 0<->1 links close an
+    equal-cost cycle: the predecessors of 0 and 1 point at each other,
+    ``link_loads`` drops the traffic on 4->0 and 4->1, and walking the
+    path 4->0 never ends."""
+
+    def graph_and_weights(self):
+        g = ng.build_graph(5, [(a, b, 1.0, False) for a, b in [(4, 0), (4, 1), (0, 1), (4, 2), (2, 3), (3, 4)]])
+        w = np.ones(g.edge_count)
+        for k, (s, r) in enumerate(zip(g.senders, g.receivers)):
+            if s == 4 and r in (0, 1):
+                w[k] = 1e14
+            elif {int(s), int(r)} == {0, 1}:
+                w[k] = 1e-3
+        return g, w
+
+    def test_rejected(self):
+        g, w = self.graph_and_weights()
+        with pytest.raises(ng.GraphError):
+            ng.validate_weights(g, w)
+        with pytest.raises(ng.GraphError):
+            xr.path_vector(g, w, 4, 0)
+        with pytest.raises(ng.GraphError):
+            xr.link_loads(g, w, np.ones(g.pair_count))
+
+    def test_projected_weights_route_all_traffic(self):
+        g, w = self.graph_and_weights()
+        w = ng.floor_weights(w)
+        assert w.max() == ng.W_MAX
+        d = np.ones(g.pair_count)
+        paths = [np.flatnonzero(xr.path_vector(g, w, int(u), int(v))) for u, v in ng.ordered_pairs(5)]
+        loads = xr.link_loads(g, w, d)
+        assert np.array_equal(loads, accumulate_loads(g.edge_count, paths, d))
+        into_01 = (g.senders == 4) & np.isin(g.receivers, [0, 1])
+        assert loads[into_01].sum() > 0.0

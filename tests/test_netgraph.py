@@ -183,6 +183,7 @@ class TestPathVectorValidation:
         ("weights", 0.5 * ng.W_MIN),
         ("weights", np.nan),
         ("weights", np.inf),
+        ("weights", 2.0 * ng.W_MAX),
         ("demands", -1.0),
         ("demands", np.nan),
         ("demands", np.inf),
