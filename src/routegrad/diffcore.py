@@ -12,14 +12,16 @@ input needs no gradient) and shape into locals, and the closure keeps
 those plus only the arrays its formula reads.  ReLU and clip keep a
 boolean mask, sigmoid and exp their output, layer normalization the
 standardized values and the inverse deviations, a product or quotient
-an operand only when the other side needs its gradient, and a dense
-layer its activations only when its weights need a gradient.  An
+an operand only when the other side needs its gradient, a dense layer
+its activations only when its weights need a gradient, and a column
+block (``columns``) nothing but its matrix's shape.  An
 intermediate activation is therefore freed as soon as the forward pass
 drops it, and a batched-GNN gradient with fixed parameters retains
 about one f64 standardized block plus one boolean mask per processed
 latent element, not the whole forward graph.  The exceptions are inputs
 a formula needs (``log`` keeps its argument, ``div`` its divisor) and
-views: a ``reshape`` output shares its input's buffer.
+views: a ``reshape`` output and a ``columns`` block share their input's
+buffer, so they keep it alive for as long as the caller holds them.
 
 Also here: the temperature-weighted soft maximum, binary cross-entropy,
 the Adam update rule, and a finite-difference gradient checker.
@@ -409,6 +411,29 @@ def reshape(a, shape) -> Tensor:
     return _finish(data, [a], backward)
 
 
+def columns(a, lo: int, hi: int) -> Tensor:
+    """Column block ``a[:, lo:hi]`` of a matrix, as a view.
+
+    The backward writes ``g`` into a zero array shaped like ``a`` and keeps
+    nothing of ``a`` but its shape.
+    """
+    a = as_tensor(a)
+    if a.ndim != 2 or not 0 <= lo <= hi <= a.shape[1]:
+        raise ShapeMismatchError(f"columns [{lo}, {hi}) of a matrix shaped {a.shape}")
+
+    def backward(out):
+        ua, shape = a._uid, a.shape
+
+        def run(g):
+            ga = np.zeros(shape, dtype=g.dtype)
+            ga[:, lo:hi] = g
+            return [(ua, ga)]
+
+        return run
+
+    return _finish(a.data[:, lo:hi], [a], backward)
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy batch-broadcast semantics (ndim >= 2)."""
     a, b = as_tensor(a), as_tensor(b)
@@ -575,22 +600,29 @@ def layer_normalize(x, gain, bias) -> Tensor:
     istd = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc
     xhat *= istd  # xc is a private temporary
-    out_data = xhat * gain.data + bias.data
+    out_data = _accumulate(xhat * gain.data, bias.data, y_owned=False)
 
     def backward(out):
         ux, ug, ub = _tracked_uid(x), _tracked_uid(gain), _tracked_uid(bias)
         g_data = gain.data
 
         def run(g):
-            pairs = []
+            # (h - m1 - xhat * m2) * istd, evaluated in the same order in h
+            # and one scratch array that the gain gradient then reuses
+            pairs, scratch = [], None
             if ux is not None:
                 h = g * g_data
                 m1 = h.mean(axis=-1, keepdims=True)
-                m2 = np.mean(h * xhat, axis=-1, keepdims=True)
-                pairs.append((ux, (h - m1 - xhat * m2) * istd))
+                scratch = h * xhat
+                m2 = scratch.mean(axis=-1, keepdims=True)
+                np.multiply(xhat, m2, out=scratch)
+                h -= m1
+                h -= scratch
+                h *= istd
+                pairs.append((ux, h))
             if ug is not None:
-                gg = g * xhat
-                pairs.append((ug, gg.reshape(-1, f).sum(axis=0)))
+                scratch = np.multiply(g, xhat, out=scratch)
+                pairs.append((ug, scratch.reshape(-1, f).sum(axis=0)))
             if ub is not None:
                 pairs.append((ub, g.reshape(-1, f).sum(axis=0)))
             return pairs
@@ -615,17 +647,17 @@ def _row_indices(idx, n_rows: int, op: str) -> np.ndarray:
 def _scatter_add(x: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
     """``out[..., i, :] = sum of x[..., j, :] over j with idx[j] == i``.
 
-    Sorts the rows by target once and sums each run with ``reduceat``;
-    targets that receive no rows stay zero.
+    One matrix product with the ``[n_rows, len(idx)]`` one-hot of ``idx``,
+    built in ``x.dtype`` on each call: for the surrogate that is the
+    node-by-link incidence, 15 KB at 24 nodes and 80 links and 72 KB at 50
+    nodes and 180 links (float64).  Targets that receive no rows, and every
+    target of an empty ``idx``, stay zero.  Every row is multiplied into
+    every target, so a non-finite entry of ``x`` turns its column NaN in
+    every other target (``0 * inf`` is NaN).
     """
-    out = np.zeros(x.shape[:-2] + (n_rows, x.shape[-1]), dtype=x.dtype)
-    if idx.size == 0:  # reduceat rejects an empty run list
-        return out
-    perm = np.argsort(idx, kind="stable")
-    sorted_idx = idx[perm]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_idx)) + 1])
-    out[..., sorted_idx[starts], :] = np.add.reduceat(np.take(x, perm, axis=-2), starts, axis=-2)
-    return out
+    onehot = np.zeros((n_rows, idx.size), dtype=x.dtype)
+    onehot[idx, np.arange(idx.size)] = 1.0
+    return onehot @ x
 
 
 def index_rows(x, idx) -> Tensor:

@@ -12,7 +12,13 @@ Architecture: node features ``[I(u=i), I(v=i)]`` and edge features
 ``[w_k]`` are encoded independently by 2-layer MLPs, each followed by
 layer normalization.  Each of T processor blocks updates edge latents
 from (edge, receiver, sender) latents, sums updated incoming-edge latents
-per node, and updates node latents from (aggregate, node).  A shared
+per node, and updates node latents from (aggregate, node).  The edge
+update's first layer is evaluated project-then-gather: its receiver and
+sender column blocks multiply the per-node latents, and the projected
+rows are gathered onto the links.  That is the same function as the
+dense layer over the concatenation, with N rows instead of E in two of
+its three products (Battaglia et al., 2018, "Relational inductive
+biases, deep learning, and graph networks").  A shared
 decoder MLP with a sigmoid head reads edge latents; during training it is
 applied after every block so each block learns to refine the previous
 one's prediction.
@@ -134,10 +140,28 @@ class GnnModel:
 
 
 def _mlp_ln(xs, mt, prefix):
-    z = dc.affine_sum(xs, mt[f"{prefix}_l1_w"], mt[f"{prefix}_l1_b"])
+    return _mlp_ln_tail(dc.affine_sum(xs, mt[f"{prefix}_l1_w"], mt[f"{prefix}_l1_b"]), mt, prefix)
+
+
+def _mlp_ln_tail(z, mt, prefix):
+    """ReLU, second dense layer and layer norm over a first-layer output."""
     z = dc.relu(z)
     z = dc.affine(z, mt[f"{prefix}_l2_w"], mt[f"{prefix}_l2_b"])
     return dc.layer_normalize(z, mt[f"{prefix}_ln_gain"], mt[f"{prefix}_ln_bias"])
+
+
+def _edge_update(edges, nodes, g: Graph, mt, prefix):
+    """Edge MLP over ``[edges, nodes[receivers], nodes[senders]]``.
+
+    The first layer's receiver and sender column blocks multiply the
+    ``[n_q, N, H]`` node latents, and only the projected rows are gathered
+    onto the links.
+    """
+    w, h = mt[f"{prefix}_l1_w"], nodes.shape[-1]
+    z = dc.affine(edges, dc.columns(w, 0, h), mt[f"{prefix}_l1_b"])
+    z = dc.add(z, dc.index_rows(dc.affine(nodes, dc.columns(w, h, 2 * h)), g.receivers))
+    z = dc.add(z, dc.index_rows(dc.affine(nodes, dc.columns(w, 2 * h, 3 * h)), g.senders))
+    return _mlp_ln_tail(z, mt, prefix)
 
 
 def _decode(edges, mt) -> dc.Tensor:
@@ -176,7 +200,7 @@ def forward(
         g: Graph whose links are being classified.
         weights: Link weights; pass a ``requires_grad`` Tensor to obtain
             gradients with respect to them.
-        indicators: ``[n_q, n_v, 2]`` query features (see
+        indicators: Finite ``[n_q, n_v, 2]`` query features (see
             :func:`query_indicators`).  Disjoint graph components may
             carry independent queries in a single row.
         model: Trained or fresh model.
@@ -190,13 +214,22 @@ def forward(
     Returns:
         ``(final, steps)``: final-round edge probabilities ``[n_q, n_e]``
         and, when ``per_step``, the list of all per-round outputs.
+
+    Raises:
+        GraphError: ``weights`` is not ``[n_e]``, or ``indicators`` is not
+            a finite ``[n_q, n_v, 2]`` array.
     """
     mt = model_tensors if model_tensors is not None else model.tensors(dtype, params_grad)
     w = weights if isinstance(weights, dc.Tensor) else dc.Tensor(np.asarray(weights, dtype=dtype))
     if w.shape != (g.edge_count,):
         raise GraphError(f"weights shape {w.shape}, expected ({g.edge_count},)")
     w_col = dc.reshape(w, (1, g.edge_count, 1))
-    ind = dc.Tensor(np.ascontiguousarray(indicators, dtype=dtype))
+    ind = np.ascontiguousarray(indicators, dtype=dtype)
+    if ind.ndim != 3 or ind.shape[1:] != (g.node_count, NODE_FEATURES):
+        raise GraphError(f"indicators shape {ind.shape}, expected (n_q, {g.node_count}, {NODE_FEATURES})")
+    if not np.all(np.isfinite(ind)):
+        raise GraphError("indicators contain NaN or infinity")
+    ind = dc.Tensor(ind)
 
     nodes = _mlp_ln([ind], mt, "enc_node")
     edges = _mlp_ln([w_col], mt, "enc_edge")
@@ -206,12 +239,10 @@ def forward(
     for t in range(rounds):
         last = t == rounds - 1
         prefix = model.block_prefix(t)
-        # gathered and aggregated blocks are passed inline so that they are
-        # freed as soon as the layer reading them returns
-        edges = _mlp_ln(
-            [edges, dc.index_rows(nodes, g.receivers), dc.index_rows(nodes, g.senders)], mt, f"{prefix}_edge"
-        )
-        # the final node update feeds nothing the decoder can see
+        edges = _edge_update(edges, nodes, g, mt, f"{prefix}_edge")
+        # the final node update feeds nothing the decoder can see; the
+        # aggregated block is passed inline so that it is freed as soon as
+        # the layer reading it returns
         if not last:
             nodes = _mlp_ln([dc.segment_sum(edges, g.receivers, g.node_count), nodes], mt, f"{prefix}_node")
         if per_step or last:

@@ -131,6 +131,46 @@ def walked_routing_matrix(n_nodes, senders, receivers, weights):
     return P
 
 
+def reference_forward(params, rounds, share_processor, senders, receivers, weights, indicators):
+    """The surrogate's architecture written out in numpy, layer by layer.
+
+    Every dense layer reads the explicit concatenation of its inputs, and
+    a node's aggregate is summed link by link in a Python loop.  Returns
+    ``(final, steps)``: the last round's edge probabilities ``[n_q, n_e]``
+    and the decoder output after every round.
+    """
+
+    def dense(x, name):
+        return x @ params[f"{name}_w"].T + params[f"{name}_b"]
+
+    def mlp_ln(x, prefix):
+        z = dense(np.maximum(dense(x, f"{prefix}_l1"), 0.0), f"{prefix}_l2")
+        mu = z.mean(axis=-1, keepdims=True)
+        var = ((z - mu) ** 2).mean(axis=-1, keepdims=True)
+        return (z - mu) / np.sqrt(var + 1e-5) * params[f"{prefix}_ln_gain"] + params[f"{prefix}_ln_bias"]
+
+    def decode(edges):
+        logit = dense(np.maximum(dense(edges, "dec_l1"), 0.0), "dec_l2")[..., 0]
+        return 1.0 / (1.0 + np.exp(-logit))
+
+    n_q, n_e = indicators.shape[0], len(senders)
+    nodes = mlp_ln(indicators, "enc_node")
+    edge_latent = mlp_ln(np.asarray(weights, dtype=np.float64).reshape(n_e, 1), "enc_edge")
+    edges = np.broadcast_to(edge_latent, (n_q,) + edge_latent.shape)
+    steps = []
+    for t in range(rounds):
+        prefix = "proc0" if share_processor else f"proc{t}"
+        edges = mlp_ln(np.concatenate([edges, nodes[:, receivers], nodes[:, senders]], axis=-1), f"{prefix}_edge")
+        steps.append(decode(edges))
+        if t == rounds - 1:
+            break  # the last node update reaches no decoder
+        aggregate = np.zeros_like(nodes)
+        for k in range(n_e):
+            aggregate[:, receivers[k]] += edges[:, k]
+        nodes = mlp_ln(np.concatenate([aggregate, nodes], axis=-1), f"{prefix}_node")
+    return steps[-1], steps
+
+
 def softmax_temperature_reference(x, tau):
     """Direct scalar evaluation of the temperature-weighted maximum."""
     x = [float(v) for v in x]

@@ -5,10 +5,13 @@ Its tracer wraps each ``(owner, attribute)`` of ``spans.TARGETS`` through
 every traced benchmark run.  These tests make that a tier-1 failure.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import spans  # noqa: E402
 import workloads  # noqa: E402
@@ -39,3 +42,18 @@ def test_traced_search_step_evaluates_once():
     totals = tracer.totals()
     assert totals["exact_routing.link_loads"][0] == 1
     assert totals["netgraph.validate_weights"][0] == 1
+
+
+def test_routing_imports_leave_scipy_unloaded():
+    # importing scipy.sparse adds about 22 MB of resident memory, and the
+    # search workload's peak of about 45 MB may grow by 5% at most
+    code = (
+        "import sys, routegrad.surrogate, routegrad.exact_routing; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -124,6 +124,16 @@ class TestAffineSum:
         )
 
 
+class TestColumns:
+    def test_block_view_and_bounds(self):
+        w = np.arange(12.0).reshape(3, 4)
+        block = dc.columns(dc.Tensor(w), 1, 3)
+        assert np.array_equal(block.data, w[:, 1:3]) and np.shares_memory(block.data, w)
+        for lo, hi in [(-1, 2), (2, 1), (0, 5)]:
+            with pytest.raises(dc.ShapeMismatchError):
+                dc.columns(dc.Tensor(w), lo, hi)
+
+
 class TestLayerNormalize:
     def test_constant_vector_zeroed(self):
         y = dc.layer_normalize(dc.Tensor(np.full(5, 3.7)), dc.Tensor(np.ones(5)), dc.Tensor(np.zeros(5)))
@@ -455,6 +465,7 @@ def test_every_primitive_gradient_matches_fd(seed):
         (lambda t: dc.tensor_sum(dc.layer_normalize(t, dc.Tensor(gain), dc.Tensor(np.zeros(4)))), x),
         (lambda t: dc.tensor_sum(dc.sigmoid(dc.index_rows(t, idx))), x.T),
         (lambda t: dc.tensor_sum(dc.sigmoid(dc.segment_sum(t, np.array([1, 0, 1]), 2))), x),
+        (lambda t: dc.tensor_sum(dc.sigmoid(dc.columns(t, 1, 3))), x),
         (lambda t: dc.soft_maximum(dc.reshape(t, (12,)), 0.5), pos),
         (lambda t: dc.tensor_sum(dc.clip(t, -0.5, 0.5)), x + 0.01),
     ]
@@ -481,6 +492,9 @@ UNREAD_INPUT_OPS = [
     ("affine_sum", lambda h: dc.affine_sum([h, dc.Tensor(_OTHER)], dc.Tensor(_W_SUM), dc.Tensor(_W[:, 1]))),
     ("index_rows", lambda h: dc.index_rows(h, [2, 0, 0, 1])),
     ("segment_sum", lambda h: dc.segment_sum(h, np.array([1, 0, 1]), 2)),
+    # a column block is a view of its input, so it is read here the way the
+    # surrogate reads it: as the weights of a dense layer
+    ("columns", lambda h: dc.affine(dc.Tensor(_OTHER), dc.columns(h, 1, 3))),
     ("clip", lambda h: dc.clip(h, -0.5, 0.5)),
     ("tensor_sum", lambda h: dc.tensor_sum(h, axis=0)),
     ("mean", lambda h: dc.mean(h, axis=-1)),

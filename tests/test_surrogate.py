@@ -8,7 +8,7 @@ from routegrad import diffcore as dc
 from routegrad import netgraph as ng
 from routegrad import surrogate as sg
 
-from oracles import central_difference
+from oracles import central_difference, reference_forward
 
 
 @pytest.fixture
@@ -39,6 +39,87 @@ class TestQueryIndicators:
         for query in [(2, 2), (-1, 3), (7, 3), (3, 5)]:  # -1 must not wrap to node 4
             with pytest.raises(ng.GraphError):
                 sg.query_indicators(g, [query])
+
+
+def offset_model(config, seed):
+    """A fresh model whose biases are moved off zero.
+
+    With zero biases, the first ReLU of the node encoder sits exactly on
+    its kink for every node that is neither endpoint, where a one-sided
+    derivative and a central difference disagree.
+    """
+    model = sg.GnnModel.initialize(config, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    for name, arr in model.params.items():
+        if name.endswith("_b") or name.endswith("_ln_bias"):
+            arr += rng.normal(0.0, 0.5, arr.shape)
+    return model
+
+
+class TestForwardInput:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda ind: np.zeros((1, 6, 2)),
+            lambda ind: ind[:, :3],
+            lambda ind: ind[0],
+            lambda ind: np.where(ind == 1.0, np.nan, ind),
+        ],
+        ids=["too_many_nodes", "too_few_nodes", "no_query_axis", "nan"],
+    )
+    def test_malformed_indicators_rejected(self, small_model, make):
+        g = ng.build_graph(4, [(i, (i + 1) % 4, 1.0, False) for i in range(4)])
+        ind = sg.query_indicators(g, [(0, 2)])
+        with pytest.raises(ng.GraphError):
+            sg.forward(g, np.ones(g.edge_count), make(ind), small_model)
+
+
+class TestReferenceForward:
+    @pytest.mark.parametrize("share", [False, True])
+    def test_matches_concatenating_oracle(self, small_graph, share):
+        # the edge block projects before it gathers and aggregates by a
+        # one-hot product; the oracle concatenates and loops over links
+        config = sg.GnnConfig(hidden=8, rounds=3, share_processor=share)
+        model = offset_model(config, seed=6)
+        g, w = small_graph
+        ind = sg.query_indicators(g, ng.ordered_pairs(g.node_count))
+        final, steps = sg.forward(g, w, ind, model, per_step=True)
+        ref_final, ref_steps = reference_forward(
+            model.params, config.rounds, share, g.senders, g.receivers, w, ind
+        )
+        assert np.max(np.abs(final.data - ref_final)) <= 1e-12
+        assert len(steps) == len(ref_steps) == config.rounds
+        for step, ref in zip(steps, ref_steps):
+            assert np.max(np.abs(step.data - ref)) <= 1e-12
+
+
+class TestParameterGradient:
+    @pytest.mark.parametrize("share", [False, True])
+    def test_every_reached_parameter_matches_fd(self, small_graph, share):
+        # the training loss of every round, as the trainer descends it
+        config = sg.GnnConfig(hidden=4, rounds=2, share_processor=share)
+        model = offset_model(config, seed=8)
+        g, w = small_graph
+        ind = sg.query_indicators(g, [(0, 3), (4, 1), (2, 0)])
+        labels = (np.random.default_rng(9).random((3, g.edge_count)) < 0.4).astype(float)
+        last = config.rounds - 1
+        unreached = set() if share else {n for n in model.params if n.startswith(f"proc{last}_node_")}
+        reached = sorted(set(model.params) - unreached)
+        assert len(reached) == len(model.params) - (0 if share else 6)
+
+        for name in reached:
+
+            def loss(p, name=name):
+                mt = model.tensors()
+                mt[name] = p
+                _, steps = sg.forward(g, w, ind, model, per_step=True, model_tensors=mt)
+                total = dc.binary_cross_entropy(steps[0], labels)
+                for s in steps[1:]:
+                    total = dc.add(total, dc.binary_cross_entropy(s, labels))
+                return total
+
+            err = dc.finite_difference_check(loss, model.params[name])
+            assert err < 1e-4, f"{name}: rel err {err}"
 
 
 def single_query(model, g, w, u, v, **kwargs):
