@@ -13,8 +13,9 @@ those plus only the arrays its formula reads.  ReLU and clip keep a
 boolean mask, sigmoid and exp their output, layer normalization the
 standardized values and the inverse deviations, a product or quotient
 an operand only when the other side needs its gradient, a dense layer
-its activations only when its weights need a gradient, and a column
-block (``columns``) nothing but its matrix's shape.  An
+its activations only when its weights need a gradient, a column
+block (``columns``) nothing but its matrix's shape, and a row
+concatenation (``concat_rows``) nothing but its row offsets.  An
 intermediate activation is therefore freed as soon as the forward pass
 drops it, and a batched-GNN gradient with fixed parameters retains
 about one f64 standardized block plus one boolean mask per processed
@@ -432,6 +433,24 @@ def columns(a, lo: int, hi: int) -> Tensor:
         return run
 
     return _finish(a.data[:, lo:hi], [a], backward)
+
+
+def concat_rows(parts) -> Tensor:
+    """Row concatenation ``np.concatenate(parts, axis=0)``.
+
+    The parts must agree on every axis past the first.  The backward hands
+    each part its row slice of ``g`` and keeps nothing but the offsets.
+    """
+    parts = [as_tensor(p) for p in parts]
+    if not parts or any(p.ndim == 0 or p.shape[1:] != parts[0].shape[1:] for p in parts):
+        raise ShapeMismatchError(f"concat_rows: part shapes {[p.shape for p in parts]}")
+    offsets = [0, *itertools.accumulate(p.shape[0] for p in parts)]
+
+    def backward(out):
+        slots = [(_tracked_uid(p), lo, hi) for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])]
+        return lambda g: [(up, g[lo:hi]) for up, lo, hi in slots if up is not None]
+
+    return _finish(np.concatenate([p.data for p in parts], axis=0), parts, backward)
 
 
 def matmul(a, b) -> Tensor:

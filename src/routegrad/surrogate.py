@@ -6,7 +6,9 @@ lying on the weighted shortest path.  :func:`forward` is the one batched
 evaluation; :func:`predict_all_pairs` runs it over every ordered node
 pair, which yields a soft routing matrix that is differentiable with
 respect to the link weights, the matrix the weight optimizer descends
-through.
+through.  It walks the pairs in query chunks sized so that one latent
+block stays cache-resident (:data:`QUERY_BLOCK_BYTES`); on a tape, the
+reverse pass then walks the same chunks.
 
 Architecture: node features ``[I(u=i), I(v=i)]`` and edge features
 ``[w_k]`` are encoded independently by 2-layer MLPs, each followed by
@@ -32,12 +34,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .netgraph import Graph, GraphError, ordered_pairs
+from .netgraph import Graph, GraphError, ordered_pairs, validate_weights
 
 CHECKPOINT_FORMAT = "routegrad-gnn"
 CHECKPOINT_VERSION = 1
 NODE_FEATURES = 2
 EDGE_FEATURES = 1
+# Largest ``[chunk, n_e, hidden]`` latent block predict_all_pairs builds.
+# Each op of the forward, and of its backward on a tape, streams blocks of
+# this size; at 1 MiB one stays resident in a 2 MiB L2 cache between the
+# element-wise passes instead of going out to memory on every pass.
+QUERY_BLOCK_BYTES = 2**20
 
 
 class CheckpointError(ValueError):
@@ -216,13 +223,14 @@ def forward(
         and, when ``per_step``, the list of all per-round outputs.
 
     Raises:
-        GraphError: ``weights`` is not ``[n_e]``, or ``indicators`` is not
-            a finite ``[n_q, n_v, 2]`` array.
+        GraphError: ``weights`` is not ``[n_e]`` or has a value outside
+            ``[W_MIN, W_MAX]`` (NaN included; see
+            :func:`netgraph.validate_weights`), or ``indicators`` is not a
+            finite ``[n_q, n_v, 2]`` array.
     """
     mt = model_tensors if model_tensors is not None else model.tensors(dtype, params_grad)
     w = weights if isinstance(weights, dc.Tensor) else dc.Tensor(np.asarray(weights, dtype=dtype))
-    if w.shape != (g.edge_count,):
-        raise GraphError(f"weights shape {w.shape}, expected ({g.edge_count},)")
+    validate_weights(g, w.data)
     w_col = dc.reshape(w, (1, g.edge_count, 1))
     ind = np.ascontiguousarray(indicators, dtype=dtype)
     if ind.ndim != 3 or ind.shape[1:] != (g.node_count, NODE_FEATURES):
@@ -257,12 +265,24 @@ def forward(
 def predict_all_pairs(model: GnnModel, g: Graph, weights, dtype=np.float64) -> dc.Tensor:
     """Soft routing matrix: one probability row per ordered pair.
 
-    Row i corresponds to ``ordered_pairs(n)[i]``; evaluated as a single
-    batched computation and differentiable with respect to ``weights``.
+    Row i corresponds to ``ordered_pairs(n)[i]``; differentiable with
+    respect to ``weights``.  The pairs are evaluated in near-equal query
+    chunks whose ``[chunk, n_e, hidden]`` latent block is at most
+    :data:`QUERY_BLOCK_BYTES`, one :func:`forward` per chunk with shared
+    parameter tensors, and the rows are joined by
+    :func:`diffcore.concat_rows`.  Queries do not interact, so each row is
+    the one a single batched forward gives; a batch that fits in one chunk
+    is that forward's output as is.
     """
     ind = query_indicators(g, ordered_pairs(g.node_count), dtype=dtype)
-    final, _ = forward(g, weights, ind, model, dtype=dtype)
-    return final
+    block = g.edge_count * model.config.hidden * np.dtype(dtype).itemsize
+    chunk = max(1, QUERY_BLOCK_BYTES // max(1, block))
+    mt = model.tensors(dtype)
+    parts = [
+        forward(g, weights, rows, model, dtype=dtype, model_tensors=mt)[0]
+        for rows in np.array_split(ind, max(1, -(-len(ind) // chunk)))
+    ]
+    return parts[0] if len(parts) == 1 else dc.concat_rows(parts)
 
 
 # ---------------------------------------------------------------------------

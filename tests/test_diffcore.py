@@ -134,6 +134,21 @@ class TestColumns:
                 dc.columns(dc.Tensor(w), lo, hi)
 
 
+class TestConcatRows:
+    def test_values_and_part_shapes(self):
+        a, b = np.arange(6.0).reshape(3, 2), -np.ones((1, 2))
+        assert np.array_equal(dc.concat_rows([a, b]).data, np.concatenate([a, b]))
+        bad = [
+            [np.zeros((2, 3)), np.zeros((1, 4))],
+            [np.zeros((2, 3, 1)), np.zeros((2, 3))],
+            [np.zeros(()), np.zeros(())],
+            [],
+        ]
+        for parts in bad:
+            with pytest.raises(dc.ShapeMismatchError):
+                dc.concat_rows(parts)
+
+
 class TestLayerNormalize:
     def test_constant_vector_zeroed(self):
         y = dc.layer_normalize(dc.Tensor(np.full(5, 3.7)), dc.Tensor(np.ones(5)), dc.Tensor(np.zeros(5)))
@@ -466,6 +481,19 @@ def test_every_primitive_gradient_matches_fd(seed):
         (lambda t: dc.tensor_sum(dc.sigmoid(dc.index_rows(t, idx))), x.T),
         (lambda t: dc.tensor_sum(dc.sigmoid(dc.segment_sum(t, np.array([1, 0, 1]), 2))), x),
         (lambda t: dc.tensor_sum(dc.sigmoid(dc.columns(t, 1, 3))), x),
+        # parts of 1, 2 (a constant), 3 and 2 rows; the cosine weights tell
+        # every row apart, so a slice handed to the wrong part shows
+        (
+            lambda t: dc.tensor_sum(
+                dc.sigmoid(
+                    dc.mul(
+                        dc.concat_rows([dc.index_rows(t, [2]), dc.Tensor(W), t, dc.index_rows(t, [0, 1])]),
+                        np.cos(np.arange(32.0)).reshape(8, 4),
+                    )
+                )
+            ),
+            x,
+        ),
         (lambda t: dc.soft_maximum(dc.reshape(t, (12,)), 0.5), pos),
         (lambda t: dc.tensor_sum(dc.clip(t, -0.5, 0.5)), x + 0.01),
     ]
@@ -495,6 +523,8 @@ UNREAD_INPUT_OPS = [
     # a column block is a view of its input, so it is read here the way the
     # surrogate reads it: as the weights of a dense layer
     ("columns", lambda h: dc.affine(dc.Tensor(_OTHER), dc.columns(h, 1, 3))),
+    # h twice, so two row slices of one gradient reach the same input
+    ("concat_rows", lambda h: dc.concat_rows([h, dc.Tensor(_C[:1]), dc.index_rows(h, [2, 0]), h])),
     ("clip", lambda h: dc.clip(h, -0.5, 0.5)),
     ("tensor_sum", lambda h: dc.tensor_sum(h, axis=0)),
     ("mean", lambda h: dc.mean(h, axis=-1)),

@@ -73,6 +73,20 @@ class TestForwardInput:
         with pytest.raises(ng.GraphError):
             sg.forward(g, np.ones(g.edge_count), make(ind), small_model)
 
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, 0.0, -1.0, 2 * ng.W_MAX], ids=["nan", "inf", "zero", "negative", "above_max"]
+    )
+    @pytest.mark.parametrize("as_tensor", [False, True], ids=["array", "tensor"])
+    def test_weight_outside_range_rejected(self, small_model, bad, as_tensor):
+        # the range netgraph.validate_weights accepts; a NaN or an infinite
+        # weight would otherwise turn every output NaN
+        g = ng.build_graph(4, [(i, (i + 1) % 4, 1.0, False) for i in range(4)])
+        w = np.ones(g.edge_count)
+        w[3] = bad
+        ind = sg.query_indicators(g, [(0, 2)])
+        with pytest.raises(ng.GraphError):
+            sg.forward(g, dc.Tensor(w, requires_grad=True) if as_tensor else w, ind, small_model)
+
 
 class TestReferenceForward:
     @pytest.mark.parametrize("share", [False, True])
@@ -217,12 +231,46 @@ class TestPredictPath:
         assert len(changed) < g.edge_count
 
 
+def soft_mlu(g, d, P):
+    """The descent objective: soft maximum of the utilization d·P / c."""
+    rho = dc.reshape(dc.matmul(dc.Tensor(d.reshape(1, -1)), P), (g.edge_count,))
+    return dc.soft_maximum(dc.div(rho, dc.Tensor(g.capacities)), 0.1)
+
+
+def chorded_ring():
+    """Ten nodes, a bidirectional ring and three chords: 26 links, 90 pairs."""
+    n = 10
+    links = [(i, (i + 1) % n, 1.0, False) for i in range(n)]
+    links += [(0, 5, 1.0, False), (2, 7, 1.0, False), (3, 9, 1.0, False)]
+    return ng.build_graph(n, links)
+
+
+def force_chunks(monkeypatch, g, model, queries):
+    """Shrinks the latent block so predict_all_pairs walks chunks of at most
+    ``queries`` pairs, and returns the list the row count of every
+    ``forward`` call it makes is appended to."""
+    monkeypatch.setattr(sg, "QUERY_BLOCK_BYTES", queries * g.edge_count * model.config.hidden * 8)
+    rows, forward = [], sg.forward
+
+    def counted(g, weights, indicators, *args, **kwargs):
+        rows.append(len(indicators))
+        return forward(g, weights, indicators, *args, **kwargs)
+
+    monkeypatch.setattr(sg, "forward", counted)
+    return rows
+
+
 class TestPredictAllPairs:
     def test_row_count(self, small_model, small_graph):
         g, w = small_graph
         P = sg.predict_all_pairs(small_model, g, w)
         assert P.shape == (g.pair_count, g.edge_count)
         assert np.all((P.data > 0.0) & (P.data < 1.0))
+
+    def test_single_node_graph_has_no_rows(self, small_model):
+        # no links and no pairs: the latent block of a query has zero bytes
+        g = ng.build_graph(1, [])
+        assert sg.predict_all_pairs(small_model, g, np.ones(0)).shape == (0, 0)
 
     def test_batched_equals_sequential(self, small_model, small_graph):
         g, w = small_graph
@@ -237,23 +285,77 @@ class TestPredictAllPairs:
         rng = np.random.default_rng(4)
         d = rng.uniform(0.0, 1.0, g.pair_count)
 
-        def objective(wt: dc.Tensor) -> dc.Tensor:
-            P = sg.predict_all_pairs(model, g, wt)
-            rho = dc.reshape(dc.matmul(dc.Tensor(d.reshape(1, -1)), P), (g.edge_count,))
-            rho = dc.div(rho, dc.Tensor(g.capacities))
-            return dc.soft_maximum(rho, 0.1)
-
-        err = dc.finite_difference_check(objective, w)
+        err = dc.finite_difference_check(lambda wt: soft_mlu(g, d, sg.predict_all_pairs(model, g, wt)), w)
         assert err < 1e-3
+
+    def test_chunks_equal_one_forward(self, small_model, small_graph, monkeypatch):
+        # every row is computed as one batched forward computes it
+        g, w = small_graph
+        one = sg.forward(g, w, sg.query_indicators(g, ng.ordered_pairs(g.node_count)), small_model)[0]
+        rows = force_chunks(monkeypatch, g, small_model, 3)
+        P = sg.predict_all_pairs(small_model, g, w)
+        assert len(rows) >= 3 and len(set(rows)) > 1 and sum(rows) == g.pair_count
+        assert np.array_equal(P.data, one.data)
+
+    def test_chunked_gradient_equals_one_batch(self, small_graph, monkeypatch):
+        # the chunks' weight gradients are summed on the tape, in another
+        # order than the one batch sums them over queries
+        model = offset_model(sg.GnnConfig(hidden=6, rounds=2), seed=3)
+        g, w = small_graph
+        d = np.random.default_rng(4).uniform(0.0, 1.0, g.pair_count)
+        ind = sg.query_indicators(g, ng.ordered_pairs(g.node_count))
+
+        def gradient(predict):
+            wt = dc.Tensor(w, requires_grad=True)
+            with dc.Tape() as tape:
+                return tape.gradient(soft_mlu(g, d, predict(wt)), wt)
+
+        one = gradient(lambda wt: sg.forward(g, wt, ind, model)[0])
+        rows = force_chunks(monkeypatch, g, model, 3)
+        chunked = gradient(lambda wt: sg.predict_all_pairs(model, g, wt))
+        assert len(rows) >= 3 and len(set(rows)) > 1
+        assert np.max(np.abs(chunked - one)) <= 1e-9 * np.max(np.abs(one))
+
+    def test_chunked_gradient_matches_fd(self, small_graph, monkeypatch):
+        model = sg.GnnModel.initialize(sg.GnnConfig(hidden=6, rounds=2), seed=3)
+        g, w = small_graph
+        d = np.random.default_rng(4).uniform(0.0, 1.0, g.pair_count)
+        rows = force_chunks(monkeypatch, g, model, 3)
+        err = dc.finite_difference_check(lambda wt: soft_mlu(g, d, sg.predict_all_pairs(model, g, wt)), w)
+        assert len(rows) >= 3 and len(set(rows)) > 1
+        assert err < 1e-3
+
+    def test_transient_memory_stays_within_chunk_blocks(self, monkeypatch):
+        # beyond what the tape retains, forward and backward hold a few
+        # latent blocks of one chunk at a time (about 6.5 here), not of the
+        # whole batch of 90 pairs, which is 12 chunks
+        g = chorded_ring()
+        config = sg.GnnConfig(hidden=32, rounds=3)
+        model = sg.GnnModel.initialize(config, seed=1)
+        w = dc.Tensor(np.random.default_rng(6).uniform(0.5, 2.0, g.edge_count), requires_grad=True)
+        chunk = 8
+        rows = force_chunks(monkeypatch, g, model, chunk)
+        bound = 8 * chunk * g.edge_count * config.hidden * 8
+
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with dc.Tape() as tape:
+                P = sg.predict_all_pairs(model, g, w)
+                objective = dc.soft_maximum(dc.tensor_sum(P, axis=0), 1.0)
+                retained = tracemalloc.get_traced_memory()[0] - start
+                tape.gradient(objective, w)
+            transient = tracemalloc.get_traced_memory()[1] - start - retained
+        finally:
+            tracemalloc.stop()
+        assert transient <= bound, f"transient peak is {transient / bound:.2f} of the bound"
+        assert len(rows) >= 3 and max(rows) == chunk
 
     def test_tape_retains_only_normalized_states(self):
         # with fixed parameters, backward needs per processed latent element
         # one f64 standardized value and one ReLU mask byte; T edge blocks,
         # T node blocks (the encoder and T-1 updates) and the decoder
-        n = 10
-        links = [(i, (i + 1) % n, 1.0, False) for i in range(n)]
-        links += [(0, 5, 1.0, False), (2, 7, 1.0, False), (3, 9, 1.0, False)]
-        g = ng.build_graph(n, links)
+        g = chorded_ring()
         config = sg.GnnConfig(hidden=32, rounds=3)
         model = sg.GnnModel.initialize(config, seed=1)
         w = dc.Tensor(np.random.default_rng(6).uniform(0.5, 2.0, g.edge_count), requires_grad=True)
