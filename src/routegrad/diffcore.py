@@ -79,7 +79,7 @@ def _active_tape():
 
 
 class Tensor:
-    """A 64-bit (by default) ndarray participating in autodiff.
+    """A float64 ndarray participating in autodiff.
 
     ``requires_grad`` marks a leaf whose gradient may later be requested;
     derived tensors inherit the flag from their inputs.
@@ -87,13 +87,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "_uid")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif not np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(np.float64)
-        self.data = arr
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self._uid = next(_uid_counter)
 
@@ -109,10 +104,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         return float(self.data)
 
@@ -120,8 +111,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def as_tensor(value, dtype=None) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value, dtype=dtype)
+def as_tensor(value) -> Tensor:
+    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 class Tape:
@@ -493,14 +484,14 @@ def _accumulate(acc: np.ndarray, y: np.ndarray, y_owned: bool) -> np.ndarray:
     """``acc + y`` for a fresh ``acc``, summed in place when the shapes allow.
 
     The sum is written into ``acc``, or into ``y`` when the caller owns
-    it, whichever already has the result's shape and dtype.  IEEE addition
-    commutes, so the values are those of ``acc + y`` either way.
+    it, whichever already has the result's shape.  IEEE addition commutes,
+    so the values are those of ``acc + y`` either way.
     """
-    shape, dtype = np.broadcast_shapes(acc.shape, y.shape), np.result_type(acc, y)
-    if acc.shape == shape and acc.dtype == dtype:
+    shape = np.broadcast_shapes(acc.shape, y.shape)
+    if acc.shape == shape:
         acc += y
         return acc
-    if y_owned and y.shape == shape and y.dtype == dtype:
+    if y_owned and y.shape == shape:
         y += acc
         return y
     return acc + y
@@ -546,7 +537,7 @@ def affine_sum(xs, weights, bias=None) -> Tensor:
     def backward(out):
         slots = [(_tracked_uid(x), x.shape, lo, hi) for x, lo, hi in zip(xs, offsets[:-1], offsets[1:])]
         uw, ub = _tracked_uid(weights), _tracked_uid(bias)
-        w_shape, w_dtype = weights.shape, weights.dtype
+        w_shape = weights.shape
         w_data = weights.data if any(x.requires_grad for x in xs) else None
         saved = [x.data for x in xs] if weights.requires_grad else None
         out_shape = out.shape
@@ -559,7 +550,7 @@ def affine_sum(xs, weights, bias=None) -> Tensor:
                     gx = (g2 @ w_data[:, lo:hi]).reshape(out_shape[:-1] + (hi - lo,))
                     pairs.append((ux, _unbroadcast(gx, x_shape)))
             if uw is not None:
-                gw = np.empty(w_shape, dtype=w_dtype)
+                gw = np.empty(w_shape)
                 for x_data, (_, _, lo, hi) in zip(saved, slots):
                     xb = np.broadcast_to(x_data, out_shape[:-1] + (hi - lo,))
                     gw[:, lo:hi] = g2.T @ xb.reshape(-1, hi - lo)
@@ -742,7 +733,7 @@ def binary_cross_entropy(p, labels) -> Tensor:
     predictions yield a large finite loss instead of infinity.
     """
     p = as_tensor(p)
-    y = np.asarray(labels.data if isinstance(labels, Tensor) else labels, dtype=p.dtype)
+    y = np.asarray(labels.data if isinstance(labels, Tensor) else labels, dtype=np.float64)
     if y.shape != p.shape:
         raise ShapeMismatchError(f"labels shape {y.shape} vs predictions {p.shape}")
     pc = clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)

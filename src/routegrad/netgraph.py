@@ -78,9 +78,11 @@ class Graph:
         n = int(self.node_count)
         if n < 1:
             raise GraphError("graph needs at least one node")
-        receivers = np.asarray(self.receivers, dtype=np.int64)
-        senders = np.asarray(self.senders, dtype=np.int64)
-        capacities = np.asarray(self.capacities, dtype=np.float64)
+        # private copies: the caller's arrays stay writeable, and writing
+        # to them later cannot change a graph that has been validated
+        receivers = np.array(self.receivers, dtype=np.int64)
+        senders = np.array(self.senders, dtype=np.int64)
+        capacities = np.array(self.capacities, dtype=np.float64)
         if receivers.ndim != 1 or senders.shape != receivers.shape:
             raise DimensionMismatchError("receivers and senders must be equal-length 1-D arrays")
         if capacities.shape != receivers.shape:

@@ -37,7 +37,7 @@ from . import diffcore as dc
 from .netgraph import Graph, GraphError, ordered_pairs, validate_weights
 
 CHECKPOINT_FORMAT = "routegrad-gnn"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 NODE_FEATURES = 2
 EDGE_FEATURES = 1
 # Largest ``[chunk, n_e, hidden]`` latent block predict_all_pairs builds.
@@ -73,6 +73,8 @@ class GnnConfig:
         Each MLP is two dense layers (``_l1``, ``_l2``, weights ``[n_out,
         n_in]`` and bias) followed by a layer norm (``_ln_gain``,
         ``_ln_bias``); the decoder is two dense layers ending in one unit.
+        The last round updates no node, so a block read only by the last
+        round has no node MLP.
         """
         h = self.hidden
         shapes: dict[str, tuple[int, ...]] = {}
@@ -91,7 +93,8 @@ class GnnConfig:
         mlp_ln("enc_edge", EDGE_FEATURES)
         for t in range(1 if self.share_processor else self.rounds):
             mlp_ln(f"proc{t}_edge", 3 * h)
-            mlp_ln(f"proc{t}_node", 2 * h)
+            if t < self.rounds - 1:
+                mlp_ln(f"proc{t}_node", 2 * h)
         dense("dec_l1", h, h)
         dense("dec_l2", 1, h)
         return shapes
@@ -131,19 +134,13 @@ class GnnModel:
         t = 0 if self.config.share_processor else round_index
         return f"proc{t}"
 
-    def tensors(self, dtype=np.float64, requires_grad: bool = False) -> dict:
+    def tensors(self, requires_grad: bool = False) -> dict:
         """Parameters wrapped as Tensors.
 
-        At float64 the tensors alias the stored arrays, so in-place
-        optimizer updates are visible to subsequent forwards; other dtypes
-        produce cast copies for inference.
+        The tensors alias the stored arrays, so in-place optimizer updates
+        are visible to subsequent forwards.
         """
-        if dtype == np.float64:
-            return {k: dc.Tensor(v, requires_grad=requires_grad) for k, v in self.params.items()}
-        return {
-            k: dc.Tensor(v.astype(dtype), requires_grad=requires_grad)
-            for k, v in self.params.items()
-        }
+        return {k: dc.Tensor(v, requires_grad=requires_grad) for k, v in self.params.items()}
 
 
 def _mlp_ln(xs, mt, prefix):
@@ -177,10 +174,10 @@ def _decode(edges, mt) -> dc.Tensor:
     return dc.reshape(p, p.shape[:-1])
 
 
-def query_indicators(g: Graph, queries, dtype=np.float64) -> np.ndarray:
+def query_indicators(g: Graph, queries) -> np.ndarray:
     """Node feature block for a batch of queries: [I(u=i), I(v=i)] per node."""
     n = g.node_count
-    ind = np.zeros((len(queries), n, NODE_FEATURES), dtype=dtype)
+    ind = np.zeros((len(queries), n, NODE_FEATURES))
     for row, (u, v) in enumerate(queries):
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"query ({u}, {v}) has an endpoint outside [0, {n})")
@@ -196,9 +193,7 @@ def forward(
     weights,
     indicators: np.ndarray,
     model: GnnModel,
-    dtype=np.float64,
     per_step: bool = False,
-    params_grad: bool = False,
     model_tensors=None,
 ):
     """Batched surrogate evaluation.
@@ -211,12 +206,10 @@ def forward(
             :func:`query_indicators`).  Disjoint graph components may
             carry independent queries in a single row.
         model: Trained or fresh model.
-        dtype: Computation dtype (float64 default; float32 for the
-            optimizer fast path).
         per_step: Also return the decoder output after every round.
-        params_grad: Mark parameters as gradient-requiring (training).
         model_tensors: Pre-wrapped parameter tensors, to share across
-            calls inside one tape.
+            calls inside one tape; pass ``model.tensors(requires_grad=True)``
+            to obtain gradients with respect to the parameters.
 
     Returns:
         ``(final, steps)``: final-round edge probabilities ``[n_q, n_e]``
@@ -228,11 +221,11 @@ def forward(
             :func:`netgraph.validate_weights`), or ``indicators`` is not a
             finite ``[n_q, n_v, 2]`` array.
     """
-    mt = model_tensors if model_tensors is not None else model.tensors(dtype, params_grad)
-    w = weights if isinstance(weights, dc.Tensor) else dc.Tensor(np.asarray(weights, dtype=dtype))
+    mt = model_tensors if model_tensors is not None else model.tensors()
+    w = dc.as_tensor(weights)
     validate_weights(g, w.data)
     w_col = dc.reshape(w, (1, g.edge_count, 1))
-    ind = np.ascontiguousarray(indicators, dtype=dtype)
+    ind = np.ascontiguousarray(indicators, dtype=np.float64)
     if ind.ndim != 3 or ind.shape[1:] != (g.node_count, NODE_FEATURES):
         raise GraphError(f"indicators shape {ind.shape}, expected (n_q, {g.node_count}, {NODE_FEATURES})")
     if not np.all(np.isfinite(ind)):
@@ -262,7 +255,7 @@ def forward(
     return final, steps
 
 
-def predict_all_pairs(model: GnnModel, g: Graph, weights, dtype=np.float64) -> dc.Tensor:
+def predict_all_pairs(model: GnnModel, g: Graph, weights) -> dc.Tensor:
     """Soft routing matrix: one probability row per ordered pair.
 
     Row i corresponds to ``ordered_pairs(n)[i]``; differentiable with
@@ -274,23 +267,31 @@ def predict_all_pairs(model: GnnModel, g: Graph, weights, dtype=np.float64) -> d
     the one a single batched forward gives; a batch that fits in one chunk
     is that forward's output as is.
     """
-    ind = query_indicators(g, ordered_pairs(g.node_count), dtype=dtype)
-    block = g.edge_count * model.config.hidden * np.dtype(dtype).itemsize
+    ind = query_indicators(g, ordered_pairs(g.node_count))
+    block = g.edge_count * model.config.hidden * ind.itemsize
     chunk = max(1, QUERY_BLOCK_BYTES // max(1, block))
-    mt = model.tensors(dtype)
+    mt = model.tensors()
     parts = [
-        forward(g, weights, rows, model, dtype=dtype, model_tensors=mt)[0]
+        forward(g, weights, rows, model, model_tensors=mt)[0]
         for rows in np.array_split(ind, max(1, -(-len(ind) // chunk)))
     ]
     return parts[0] if len(parts) == 1 else dc.concat_rows(parts)
 
 
 # ---------------------------------------------------------------------------
-# checkpoint serialization (see docs/checkpoint_format.md)
+# checkpoint serialization (the document is described in save_checkpoint)
 
 
 def save_checkpoint(model: GnnModel, path) -> None:
     """Writes the model as a canonical JSON document.
+
+    The version-2 document is one object with the fields ``format``
+    (``"routegrad-gnn"``), ``version`` (2), ``hidden``, ``rounds``,
+    ``share_processor``, ``node_feature_width`` (2), ``edge_feature_width``
+    (1) and ``params``, which maps every name of
+    :meth:`GnnConfig.parameter_shapes` to ``{"shape": [...], "data":
+    [...]}`` with the array flattened in C order.  Version 1 also stored
+    the last round's node MLP, which no forward reads; it is rejected.
 
     Floats are emitted as shortest round-trip decimals, keys are sorted,
     and separators are fixed, so saving the same parameters always

@@ -15,11 +15,18 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import spans  # noqa: E402
 import workloads  # noqa: E402
+from routegrad import surrogate  # noqa: E402
 
 
 def test_every_traced_target_is_defined_on_its_owner():
     missing = [name for owner, attr, name in spans.TARGETS if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_benchmark_model_holds_no_dead_parameter():
+    # the workloads train what reaches the tape; every stored array must
+    model = surrogate.GnnModel.initialize(workloads.MODEL, seed=1)
+    assert workloads.reached_parameter_names(model) == model.parameter_names()
 
 
 def test_traced_train_step_runs_and_restores_originals():

@@ -52,6 +52,16 @@ class TestBuildGraph:
         with pytest.raises(ng.NonPositiveCapacityError):
             ng.build_graph(2, [(0, 1, 0.0, False)])
 
+    def test_caller_arrays_stay_writeable_and_apart(self):
+        base = np.array([1.0, 2.0])
+        receivers, senders = np.array([1, 0]), np.array([0, 1])
+        g = ng.Graph(2, receivers, senders, base[:])
+        for arr in (base, receivers, senders):
+            assert arr.flags.writeable
+        base[0], receivers[0], senders[0] = -5.0, 0, 0
+        assert g.capacities.tolist() == [1.0, 2.0]
+        assert g.receivers.tolist() == [1, 0] and g.senders.tolist() == [0, 1]
+
 
 
 class TestPairEnumeration:

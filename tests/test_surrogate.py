@@ -116,12 +116,7 @@ class TestParameterGradient:
         g, w = small_graph
         ind = sg.query_indicators(g, [(0, 3), (4, 1), (2, 0)])
         labels = (np.random.default_rng(9).random((3, g.edge_count)) < 0.4).astype(float)
-        last = config.rounds - 1
-        unreached = set() if share else {n for n in model.params if n.startswith(f"proc{last}_node_")}
-        reached = sorted(set(model.params) - unreached)
-        assert len(reached) == len(model.params) - (0 if share else 6)
-
-        for name in reached:
+        for name in sorted(model.params):
 
             def loss(p, name=name):
                 mt = model.tensors()
@@ -425,8 +420,18 @@ class TestCheckpoint:
             assert np.array_equal(loaded.params[name], arr)
 
     def test_bad_format_rejected(self, tmp_path):
+        import json
+
         path = tmp_path / "bad.ckpt"
-        for text in ['{"format":"other","version":1}\n', "[1, 2]\n"]:
+        # a version-1 document: today's fields plus the node MLP of the last
+        # round, which no forward reads
+        sg.save_checkpoint(sg.GnnModel.initialize(sg.GnnConfig(hidden=1, rounds=1)), path)
+        v1 = json.loads(path.read_text())
+        v1["version"] = 1
+        node_mlp = {"l1_w": [1, 2], "l1_b": [1], "l2_w": [1, 1], "l2_b": [1], "ln_gain": [1], "ln_bias": [1]}
+        for name, shape in node_mlp.items():
+            v1["params"][f"proc0_node_{name}"] = {"shape": shape, "data": [1.0] * int(np.prod(shape))}
+        for text in ['{"format":"other","version":1}\n', "[1, 2]\n", json.dumps(v1)]:
             path.write_text(text)
             with pytest.raises(sg.CheckpointError):
                 sg.load_checkpoint(path)
@@ -487,12 +492,18 @@ class TestCheckpoint:
             digest.update(name.encode())
             digest.update(repr(arr.shape).encode())
             digest.update(arr.tobytes())
-        assert digest.hexdigest() == "0b9502e997376f6665f4c576d39f904a29a1385631f94b9fe56547550dc5d409"
+        assert digest.hexdigest() == "72a068d27f8e11efefe03dc48d041f8e22f5b1e44858bd0e0e4868d9dc718b7d"
 
     def test_parameter_shapes_match_initialize(self):
         config = sg.GnnConfig(hidden=5, rounds=3, share_processor=True)
         model = sg.GnnModel.initialize(config, seed=2)
         assert {k: v.shape for k, v in model.params.items()} == config.parameter_shapes()
+        # the last round updates no node, so no block read only by it has a node MLP
+        assert len(sg.GnnConfig(hidden=64, rounds=8).parameter_shapes()) == 106
+        assert "proc7_node_l1_w" not in sg.GnnConfig(hidden=3, rounds=8).parameter_shapes()
+        for share in (False, True):
+            shapes = sg.GnnConfig(hidden=3, rounds=1, share_processor=share).parameter_shapes()
+            assert not [k for k in shapes if k.startswith("proc0_node_")]
 
 
 class TestSharedProcessor:
@@ -503,12 +514,3 @@ class TestSharedProcessor:
         probs, steps = single_query(shared, g, w, 0, 3, per_step=True)
         assert len(steps) == 3
         assert np.all(np.isfinite(probs.data))
-
-
-def test_float32_path_close_to_float64(small_graph):
-    model = sg.GnnModel.initialize(sg.GnnConfig(hidden=8, rounds=3), seed=9)
-    g, w = small_graph
-    p64 = sg.predict_all_pairs(model, g, w, dtype=np.float64)
-    p32 = sg.predict_all_pairs(model, g, w, dtype=np.float32)
-    assert p32.data.dtype == np.float32
-    assert np.allclose(p32.data, p64.data, atol=1e-4)
