@@ -13,16 +13,19 @@ those plus only the arrays its formula reads.  ReLU and clip keep a
 boolean mask, sigmoid and exp their output, layer normalization the
 standardized values and the inverse deviations, a product or quotient
 an operand only when the other side needs its gradient, a dense layer
-its activations only when its weights need a gradient, a column
-block (``columns``) nothing but its matrix's shape, and a row
-concatenation (``concat_rows``) nothing but its row offsets.  An
+its activations only when its weights need a gradient, and a row
+concatenation (``concat_rows``) nothing but its row offsets.  The fused
+MLP block (``mlp_ln``) keeps what its unfused chain would: the
+standardized values, the inverse deviations and a boolean ReLU mask,
+its inputs only when its first weights need a gradient, and its ReLU
+output, in place of the mask, only when its second weights do.  An
 intermediate activation is therefore freed as soon as the forward pass
 drops it, and a batched-GNN gradient with fixed parameters retains
 about one f64 standardized block plus one boolean mask per processed
 latent element, not the whole forward graph.  The exceptions are inputs
 a formula needs (``log`` keeps its argument, ``div`` its divisor) and
-views: a ``reshape`` output and a ``columns`` block share their input's
-buffer, so they keep it alive for as long as the caller holds them.
+views: a ``reshape`` output shares its input's buffer, so it keeps it
+alive for as long as the caller holds it.
 
 Also here: the temperature-weighted soft maximum, binary cross-entropy,
 the Adam update rule, and a finite-difference gradient checker.
@@ -403,29 +406,6 @@ def reshape(a, shape) -> Tensor:
     return _finish(data, [a], backward)
 
 
-def columns(a, lo: int, hi: int) -> Tensor:
-    """Column block ``a[:, lo:hi]`` of a matrix, as a view.
-
-    The backward writes ``g`` into a zero array shaped like ``a`` and keeps
-    nothing of ``a`` but its shape.
-    """
-    a = as_tensor(a)
-    if a.ndim != 2 or not 0 <= lo <= hi <= a.shape[1]:
-        raise ShapeMismatchError(f"columns [{lo}, {hi}) of a matrix shaped {a.shape}")
-
-    def backward(out):
-        ua, shape = a._uid, a.shape
-
-        def run(g):
-            ga = np.zeros(shape, dtype=g.dtype)
-            ga[:, lo:hi] = g
-            return [(ua, ga)]
-
-        return run
-
-    return _finish(a.data[:, lo:hi], [a], backward)
-
-
 def concat_rows(parts) -> Tensor:
     """Row concatenation ``np.concatenate(parts, axis=0)``.
 
@@ -592,6 +572,53 @@ def sigmoid(x) -> Tensor:
 LAYER_NORM_EPS = 1e-5
 
 
+def _standardize(x: np.ndarray, out=None):
+    """``(x - mean) / sqrt(var + 1e-5)`` over the trailing axis, into ``out``.
+
+    Returns the standardized values and the inverse deviations; pass
+    ``out=x`` to standardize an array the caller owns in place.
+    """
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = np.subtract(x, mu, out=out)
+    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    istd = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xc *= istd
+    return xc, istd
+
+
+def _standardize_backward(g, xhat, istd, gain, want_x: bool, want_gain: bool, want_bias: bool):
+    """Gradients of ``xhat * gain + bias`` for the output gradient ``g``.
+
+    Returns ``(gx, ggain, gbias)`` with None for each one not wanted.
+    ``gx`` is ``(h - m1 - xhat * m2) * istd`` with ``h = g * gain`` and
+    ``m1``, ``m2`` the trailing-axis means of ``h`` and ``h * xhat``,
+    evaluated in ``h`` itself and one scratch array that the gain
+    gradient then reuses; the scratch is freed on return.
+    """
+    f = xhat.shape[-1]
+    gx = scratch = ggain = gbias = None
+    if want_x:
+        gx = g * gain
+        m1 = gx.mean(axis=-1, keepdims=True)
+        scratch = gx * xhat
+        m2 = scratch.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m2, out=scratch)
+        gx -= m1
+        gx -= scratch
+        gx *= istd
+    if want_gain:
+        scratch = np.multiply(g, xhat, out=scratch)
+        ggain = scratch.reshape(-1, f).sum(axis=0)
+    if want_bias:
+        gbias = g.reshape(-1, f).sum(axis=0)
+    return gx, ggain, gbias
+
+
+def _check_norm_params(op: str, f: int, gain: Tensor, bias: Tensor) -> None:
+    if gain.shape != (f,) or bias.shape != (f,):
+        raise ShapeMismatchError(f"{op}: gain {gain.shape} / bias {bias.shape} vs features {f}")
+
+
 def layer_normalize(x, gain, bias) -> Tensor:
     """Per-vector standardization over the trailing feature axis.
 
@@ -599,17 +626,8 @@ def layer_normalize(x, gain, bias) -> Tensor:
     variance, computed independently for every leading index.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    f = x.shape[-1]
-    if gain.shape != (f,) or bias.shape != (f,):
-        raise ShapeMismatchError(
-            f"layer_normalize: gain {gain.shape} / bias {bias.shape} vs features {f}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    istd = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc
-    xhat *= istd  # xc is a private temporary
+    _check_norm_params("layer_normalize", x.shape[-1], gain, bias)
+    xhat, istd = _standardize(x.data)
     out_data = _accumulate(xhat * gain.data, bias.data, y_owned=False)
 
     def backward(out):
@@ -617,25 +635,10 @@ def layer_normalize(x, gain, bias) -> Tensor:
         g_data = gain.data
 
         def run(g):
-            # (h - m1 - xhat * m2) * istd, evaluated in the same order in h
-            # and one scratch array that the gain gradient then reuses
-            pairs, scratch = [], None
-            if ux is not None:
-                h = g * g_data
-                m1 = h.mean(axis=-1, keepdims=True)
-                scratch = h * xhat
-                m2 = scratch.mean(axis=-1, keepdims=True)
-                np.multiply(xhat, m2, out=scratch)
-                h -= m1
-                h -= scratch
-                h *= istd
-                pairs.append((ux, h))
-            if ug is not None:
-                scratch = np.multiply(g, xhat, out=scratch)
-                pairs.append((ug, scratch.reshape(-1, f).sum(axis=0)))
-            if ub is not None:
-                pairs.append((ub, g.reshape(-1, f).sum(axis=0)))
-            return pairs
+            gx, ggain, gbias = _standardize_backward(
+                g, xhat, istd, g_data, ux is not None, ug is not None, ub is not None
+            )
+            return [(u, gu) for u, gu in ((ux, gx), (ug, ggain), (ub, gbias)) if u is not None]
 
         return run
 
@@ -699,6 +702,128 @@ def segment_sum(x, idx, n_segments: int) -> Tensor:
         return lambda g: [(ux, np.take(g, idx, axis=-2))]
 
     return _finish(data, [x], backward)
+
+
+# ---------------------------------------------------------------------------
+# fused MLP block
+
+
+def mlp_ln(terms, w1, b1, w2, b2, gain, bias) -> Tensor:
+    """Dense, ReLU, dense and layer norm as one op.
+
+    ``layer_normalize(relu(z) @ w2.T + b2, gain, bias)``, where the first
+    layer ``z`` is :func:`affine_sum` of the terms with ``w1`` and ``b1``.
+
+    Args:
+        terms: Non-empty list of ``(x, idx)``.  Each ``x`` ``[..., n_i]``
+            multiplies its own column block of ``w1``, the blocks tiling
+            the columns in list order.  With an ``idx``, the projected rows
+            are gathered along axis -2 as :func:`index_rows` does; the
+            terms may broadcast against each other over leading axes.
+        w1: ``[n_hidden, sum n_i]``; ``b1``: ``[n_hidden]``.
+        w2: ``[n_out, n_hidden]``; ``b2``, ``gain``, ``bias``: ``[n_out]``.
+
+    The first layer sums the products of the terms without an index in
+    list order, then ``b1``, then the gathered products in list order,
+    and ReLU, the second bias and the standardization are applied in
+    place, so the values are bit for bit those of the unfused chain.
+    Under a tape the backward scatters a gathered term's gradient back to
+    its rows before it projects it, and keeps what the unfused chain
+    would (see the module docstring).
+    """
+    terms = [(as_tensor(x), idx) for x, idx in terms]
+    w1, b1, w2, b2, gain, bias = (as_tensor(p) for p in (w1, b1, w2, b2, gain, bias))
+    xs = [x for x, _ in terms]
+    widths = [x.shape[-1] for x in xs]
+    if not terms or w1.ndim != 2 or w2.ndim != 2 or sum(widths) != w1.shape[1]:
+        raise ShapeMismatchError(f"mlp_ln: term widths {widths} do not tile weights {w1.shape}")
+    n_hidden, n_out = w1.shape[0], w2.shape[0]
+    if b1.shape != (n_hidden,) or b2.shape != (n_out,) or w2.shape[1] != n_hidden:
+        raise ShapeMismatchError(
+            f"mlp_ln: layers {w1.shape} + {b1.shape} and {w2.shape} + {b2.shape} do not chain"
+        )
+    _check_norm_params("mlp_ln", n_out, gain, bias)
+    offsets = [0, *itertools.accumulate(widths)]
+    slots = []
+    for (x, idx), lo, hi in zip(terms, offsets[:-1], offsets[1:]):
+        if idx is not None:
+            if x.ndim < 2:
+                raise ShapeMismatchError(f"mlp_ln: a gathered term needs rows, got shape {x.shape}")
+            idx = _row_indices(idx, x.shape[-2], "mlp_ln")
+        slots.append((x, idx, lo, hi))
+
+    def product(x, idx, lo, hi):
+        y = (x.data.reshape(-1, hi - lo) @ w1.data[:, lo:hi].T).reshape(x.shape[:-1] + (n_hidden,))
+        return y if idx is None else np.take(y, idx, axis=-2)
+
+    # b1 leads only when every term is gathered; a gathered product has
+    # rows, so the sum is then written into it and never into b1
+    addends = itertools.chain(
+        (product(*s) for s in slots if s[1] is None),
+        [b1.data],
+        (product(*s) for s in slots if s[1] is not None),
+    )
+    z = next(addends)
+    for y in addends:
+        z = _accumulate(z, y, y_owned=y is not b1.data)
+    np.maximum(z, 0.0, out=z)
+    xhat = (z.reshape(-1, n_hidden) @ w2.data.T).reshape(z.shape[:-1] + (n_out,))
+    xhat += b2.data
+    xhat, istd = _standardize(xhat, out=xhat)
+    out_data = xhat * gain.data
+    out_data += bias.data
+
+    def backward(out):
+        term_slots = [(_tracked_uid(x), x.shape, idx, lo, hi) for x, idx, lo, hi in slots]
+        uw1, ub1, uw2, ub2 = (_tracked_uid(p) for p in (w1, b1, w2, b2))
+        ugain, ubias = _tracked_uid(gain), _tracked_uid(bias)
+        any_x = any(x.requires_grad for x in xs)
+        need_first = any_x or w1.requires_grad or b1.requires_grad
+        need_second = need_first or w2.requires_grad or b2.requires_grad
+        w1_shape, w1_data = w1.shape, (w1.data if any_x else None)
+        saved = [x.data for x in xs] if w1.requires_grad else None
+        w2_data = w2.data if need_first else None
+        g_data = gain.data if need_second else None
+        relu_out = z if w2.requires_grad else None
+        mask = z > 0.0 if need_first and relu_out is None else None
+        hidden_shape = z.shape
+
+        def run(g):
+            gu, ggain, gbias = _standardize_backward(
+                g, xhat, istd, g_data, need_second, ugain is not None, ubias is not None
+            )
+            pairs = [(u, gp) for u, gp in ((ugain, ggain), (ubias, gbias)) if u is not None]
+            if gu is None:
+                return pairs
+            gu = gu.reshape(-1, n_out)
+            if uw2 is not None:
+                pairs.append((uw2, gu.T @ relu_out.reshape(-1, n_hidden)))
+            if ub2 is not None:
+                pairs.append((ub2, gu.sum(axis=0)))
+            if not need_first:
+                return pairs
+            gz = (gu @ w2_data).reshape(hidden_shape)
+            del gu
+            gz *= mask if relu_out is None else relu_out > 0.0
+            if ub1 is not None:
+                pairs.append((ub1, gz.reshape(-1, n_hidden).sum(axis=0)))
+            gw1 = np.empty(w1_shape) if uw1 is not None else None
+            for k, (ux, x_shape, idx, lo, hi) in enumerate(term_slots):
+                if ux is None and gw1 is None:
+                    continue
+                gt = gz if idx is None else _scatter_add(gz, idx, x_shape[-2])
+                gt = _unbroadcast(gt, x_shape[:-1] + (n_hidden,)).reshape(-1, n_hidden)
+                if ux is not None:
+                    pairs.append((ux, (gt @ w1_data[:, lo:hi]).reshape(x_shape)))
+                if gw1 is not None:
+                    gw1[:, lo:hi] = gt.T @ saved[k].reshape(-1, hi - lo)
+            if gw1 is not None:
+                pairs.append((uw1, gw1))
+            return pairs
+
+        return run
+
+    return _finish(out_data, xs + [w1, b1, w2, b2, gain, bias], backward)
 
 
 # ---------------------------------------------------------------------------

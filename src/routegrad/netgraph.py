@@ -55,10 +55,11 @@ class DimensionMismatchError(GraphError):
 class Graph:
     """Immutable directed network topology with link capacities.
 
-    Construction validates every structural invariant: indices in range,
-    no self-loops, no duplicate directed links, strictly positive
-    capacities, and strong connectivity (every ordered pair of nodes must
-    be connected by some directed path, otherwise routing is undefined).
+    Construction validates every structural invariant: integral indices
+    in range, no self-loops, no duplicate directed links, strictly
+    positive capacities, and strong connectivity (every ordered pair of
+    nodes must be connected by some directed path, otherwise routing is
+    undefined).
 
     Attributes:
         node_count: Number of nodes, indexed ``0 .. node_count-1``.
@@ -75,13 +76,18 @@ class Graph:
     name: str = ""
 
     def __post_init__(self):
-        n = int(self.node_count)
+        try:
+            n = int(self.node_count)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GraphError(f"node_count {self.node_count!r} is not an integer") from exc
+        if n != self.node_count:
+            raise GraphError(f"node_count {self.node_count!r} is not an integer")
         if n < 1:
             raise GraphError("graph needs at least one node")
         # private copies: the caller's arrays stay writeable, and writing
         # to them later cannot change a graph that has been validated
-        receivers = np.array(self.receivers, dtype=np.int64)
-        senders = np.array(self.senders, dtype=np.int64)
+        receivers = _node_indices(self.receivers, "receivers")
+        senders = _node_indices(self.senders, "senders")
         capacities = np.array(self.capacities, dtype=np.float64)
         if receivers.ndim != 1 or senders.shape != receivers.shape:
             raise DimensionMismatchError("receivers and senders must be equal-length 1-D arrays")
@@ -126,6 +132,19 @@ class Graph:
     @property
     def pair_count(self) -> int:
         return self.node_count * (self.node_count - 1)
+
+
+def _node_indices(values, what: str) -> np.ndarray:
+    """A private int64 copy of ``values``; a fractional or non-finite entry raises."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "iu":
+        try:
+            raw = raw.astype(np.float64)
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"{what} are not node indices: {exc}") from exc
+        if not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+            raise GraphError(f"{what} has an entry that is not an integer")
+    return np.array(raw, dtype=np.int64)
 
 
 def _strongly_connected(n, senders, receivers) -> bool:

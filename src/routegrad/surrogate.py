@@ -20,7 +20,11 @@ sender column blocks multiply the per-node latents, and the projected
 rows are gathered onto the links.  That is the same function as the
 dense layer over the concatenation, with N rows instead of E in two of
 its three products (Battaglia et al., 2018, "Relational inductive
-biases, deep learning, and graph networks").  A shared
+biases, deep learning, and graph networks").  Every MLP block (dense,
+ReLU, dense, layer norm) is one fused :func:`diffcore.mlp_ln` op: its
+first-layer terms, the gathers included, are summed in place inside it,
+its backward is written by hand, and the tape holds one record per
+block instead of one per element-wise step.  A shared
 decoder MLP with a sigmoid head reads edge latents; during training it is
 applied after every block so each block learns to refine the previous
 one's prediction.
@@ -143,15 +147,10 @@ class GnnModel:
         return {k: dc.Tensor(v, requires_grad=requires_grad) for k, v in self.params.items()}
 
 
-def _mlp_ln(xs, mt, prefix):
-    return _mlp_ln_tail(dc.affine_sum(xs, mt[f"{prefix}_l1_w"], mt[f"{prefix}_l1_b"]), mt, prefix)
-
-
-def _mlp_ln_tail(z, mt, prefix):
-    """ReLU, second dense layer and layer norm over a first-layer output."""
-    z = dc.relu(z)
-    z = dc.affine(z, mt[f"{prefix}_l2_w"], mt[f"{prefix}_l2_b"])
-    return dc.layer_normalize(z, mt[f"{prefix}_ln_gain"], mt[f"{prefix}_ln_bias"])
+def _mlp_ln(terms, mt, prefix):
+    """The MLP block ``prefix`` over ``terms``, as :func:`diffcore.mlp_ln` takes them."""
+    names = ("l1_w", "l1_b", "l2_w", "l2_b", "ln_gain", "ln_bias")
+    return dc.mlp_ln(terms, *(mt[f"{prefix}_{name}"] for name in names))
 
 
 def _edge_update(edges, nodes, g: Graph, mt, prefix):
@@ -161,11 +160,7 @@ def _edge_update(edges, nodes, g: Graph, mt, prefix):
     ``[n_q, N, H]`` node latents, and only the projected rows are gathered
     onto the links.
     """
-    w, h = mt[f"{prefix}_l1_w"], nodes.shape[-1]
-    z = dc.affine(edges, dc.columns(w, 0, h), mt[f"{prefix}_l1_b"])
-    z = dc.add(z, dc.index_rows(dc.affine(nodes, dc.columns(w, h, 2 * h)), g.receivers))
-    z = dc.add(z, dc.index_rows(dc.affine(nodes, dc.columns(w, 2 * h, 3 * h)), g.senders))
-    return _mlp_ln_tail(z, mt, prefix)
+    return _mlp_ln([(edges, None), (nodes, g.receivers), (nodes, g.senders)], mt, prefix)
 
 
 def _decode(edges, mt) -> dc.Tensor:
@@ -232,8 +227,8 @@ def forward(
         raise GraphError("indicators contain NaN or infinity")
     ind = dc.Tensor(ind)
 
-    nodes = _mlp_ln([ind], mt, "enc_node")
-    edges = _mlp_ln([w_col], mt, "enc_edge")
+    nodes = _mlp_ln([(ind, None)], mt, "enc_node")
+    edges = _mlp_ln([(w_col, None)], mt, "enc_edge")
     steps: list[dc.Tensor] = []
     final = None
     rounds = model.config.rounds
@@ -245,7 +240,11 @@ def forward(
         # aggregated block is passed inline so that it is freed as soon as
         # the layer reading it returns
         if not last:
-            nodes = _mlp_ln([dc.segment_sum(edges, g.receivers, g.node_count), nodes], mt, f"{prefix}_node")
+            nodes = _mlp_ln(
+                [(dc.segment_sum(edges, g.receivers, g.node_count), None), (nodes, None)],
+                mt,
+                f"{prefix}_node",
+            )
         if per_step or last:
             out = _decode(edges, mt)
             if per_step:

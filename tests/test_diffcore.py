@@ -124,16 +124,6 @@ class TestAffineSum:
         )
 
 
-class TestColumns:
-    def test_block_view_and_bounds(self):
-        w = np.arange(12.0).reshape(3, 4)
-        block = dc.columns(dc.Tensor(w), 1, 3)
-        assert np.array_equal(block.data, w[:, 1:3]) and np.shares_memory(block.data, w)
-        for lo, hi in [(-1, 2), (2, 1), (0, 5)]:
-            with pytest.raises(dc.ShapeMismatchError):
-                dc.columns(dc.Tensor(w), lo, hi)
-
-
 class TestConcatRows:
     def test_values_and_part_shapes(self):
         a, b = np.arange(6.0).reshape(3, 2), -np.ones((1, 2))
@@ -176,6 +166,98 @@ class TestLayerNormalize:
         assert_grads_match(
             lambda x, g, b: dc.tensor_sum(dc.sigmoid(dc.layer_normalize(x, g, b))), arrays
         )
+
+
+def mlp_ln_case(seed, q=3, n_edges=7, n_nodes=4, width=5, hidden=6, n_out=4):
+    """An edge-update block: a broadcast ``[1, E, h]`` edge term and two
+    terms gathered from one ``[q, N, h]`` node block, with parameters."""
+    rng = np.random.default_rng(seed)
+    arrays = [
+        rng.normal(size=(1, n_edges, width)),
+        rng.normal(size=(q, n_nodes, width)),
+        rng.normal(size=(hidden, 3 * width)),
+        rng.normal(size=hidden),
+        rng.normal(size=(n_out, hidden)),
+        rng.normal(size=n_out),
+        rng.uniform(0.5, 1.5, n_out),
+        rng.normal(size=n_out),
+    ]
+    receivers = rng.integers(0, n_nodes, n_edges)
+    senders = rng.integers(0, n_nodes, n_edges)
+
+    def fused(edges, nodes, w1, b1, w2, b2, gain, bias):
+        return dc.mlp_ln([(edges, None), (nodes, receivers), (nodes, senders)], w1, b1, w2, b2, gain, bias)
+
+    def chain(edges, nodes, w1, b1, w2, b2, gain, bias):
+        blocks = [dc.Tensor(w1.data[:, lo : lo + width]) for lo in range(0, 3 * width, width)]
+        z = dc.affine(edges, blocks[0], b1)
+        z = dc.add(z, dc.index_rows(dc.affine(nodes, blocks[1]), receivers))
+        z = dc.add(z, dc.index_rows(dc.affine(nodes, blocks[2]), senders))
+        z = dc.affine(dc.relu(z), w2, b2)
+        return dc.layer_normalize(z, gain, bias)
+
+    return arrays, fused, chain
+
+
+class TestMlpLn:
+    def test_forward_bitwise_equals_unfused_chain(self):
+        arrays, fused, chain = mlp_ln_case(21)
+        tensors = [dc.Tensor(a) for a in arrays]
+        y = fused(*tensors)
+        assert y.shape == (3, 7, 4)
+        assert np.array_equal(y.data, chain(*tensors).data)
+        # ungathered terms only: products, then the bias, as affine_sum sums them
+        _, nodes, w1, b1, w2, b2, gain, bias = tensors
+        agg = dc.Tensor(np.random.default_rng(22).normal(size=nodes.shape))
+        w1 = dc.Tensor(w1.data[:, :10])
+        y = dc.mlp_ln([(agg, None), (nodes, None)], w1, b1, w2, b2, gain, bias)
+        expect = dc.layer_normalize(dc.affine(dc.relu(dc.affine_sum([agg, nodes], w1, b1)), w2, b2), gain, bias)
+        assert np.array_equal(y.data, expect.data)
+
+    def test_every_gradient_matches_fd(self):
+        # both edge-term broadcast and the two gathered uses of one node
+        # block reach the gradients, each taken with the rest held fixed
+        arrays, fused, _ = mlp_ln_case(23)
+        weights = np.cos(np.arange(3 * 7 * 4.0)).reshape(3, 7, 4)
+
+        for i in range(len(arrays)):
+
+            def f(t, i=i):
+                args = [dc.Tensor(a) for a in arrays]
+                args[i] = t
+                return dc.tensor_sum(dc.mul(fused(*args), weights))
+
+            err = dc.finite_difference_check(f, arrays[i])
+            assert err < 1e-6, f"input {i}: rel err {err}"
+
+    @pytest.mark.parametrize("trained", [False, True], ids=["fixed", "trained"])
+    def test_tape_keeps_relu_output_only_for_second_weights(self, trained):
+        # fixed parameters: a boolean ReLU mask; parameters with gradients:
+        # the ReLU output, from which the mask is read, and no mask
+        arrays, fused, _ = mlp_ln_case(24)
+        tensors = [dc.Tensor(a, requires_grad=i < 2 or trained) for i, a in enumerate(arrays)]
+        with dc.Tape() as tape:
+            fused(*tensors)
+        (_, run), = tape._ops
+        kept = [c.cell_contents for c in run.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        masks = [a for a in kept if a.dtype == bool]
+        relu_out = [a for a in kept if a.dtype == np.float64 and a.shape == (3, 7, 6)]
+        assert (len(masks), len(relu_out)) == ((0, 1) if trained else (1, 0))
+
+    def test_shape_mismatch(self):
+        arrays, _, _ = mlp_ln_case(25)
+        edges, nodes, w1, b1, w2, b2, gain, bias = [dc.Tensor(a) for a in arrays]
+        bad = [
+            ([], w1, b1, w2, b2, gain, bias),
+            ([(edges, None), (nodes, [0])], w1, b1, w2, b2, gain, bias),
+            ([(edges, None), (nodes, [0]), (nodes, [4])], w1, b1, w2, b2, gain, bias),
+            ([(edges, None), (nodes, [0]), (nodes, [1])], w1, b2, w2, b2, gain, bias),
+            ([(edges, None), (nodes, [0]), (nodes, [1])], w1, b1, w2.data.T, b2, gain, bias),
+            ([(edges, None), (nodes, [0]), (nodes, [1])], w1, b1, w2, b2, b1, bias),
+        ]
+        for args in bad:
+            with pytest.raises(dc.ShapeMismatchError):
+                dc.mlp_ln(*args)
 
 
 class TestSigmoid:
@@ -480,7 +562,6 @@ def test_every_primitive_gradient_matches_fd(seed):
         (lambda t: dc.tensor_sum(dc.layer_normalize(t, dc.Tensor(gain), dc.Tensor(np.zeros(4)))), x),
         (lambda t: dc.tensor_sum(dc.sigmoid(dc.index_rows(t, idx))), x.T),
         (lambda t: dc.tensor_sum(dc.sigmoid(dc.segment_sum(t, np.array([1, 0, 1]), 2))), x),
-        (lambda t: dc.tensor_sum(dc.sigmoid(dc.columns(t, 1, 3))), x),
         # parts of 1, 2 (a constant), 3 and 2 rows; the cosine weights tell
         # every row apart, so a slice handed to the wrong part shows
         (
@@ -508,6 +589,8 @@ _W_SUM = _RNG.normal(size=(2, 6))
 _OTHER = _RNG.normal(size=(3, 2))
 _C = _RNG.normal(size=(3, 4))
 _POS = _RNG.uniform(0.5, 2.0, (3, 4))
+_W1 = _RNG.normal(size=(5, 8))
+_W2 = _RNG.normal(size=(3, 5))
 
 # ops whose backward reads nothing of their input ``h``: every parameter and
 # other operand is a constant, so the op must not keep ``h.data`` alive
@@ -519,10 +602,15 @@ UNREAD_INPUT_OPS = [
     ("affine", lambda h: dc.affine(h, dc.Tensor(_W), dc.Tensor(_W[:, 0]))),
     ("affine_sum", lambda h: dc.affine_sum([h, dc.Tensor(_OTHER)], dc.Tensor(_W_SUM), dc.Tensor(_W[:, 1]))),
     ("index_rows", lambda h: dc.index_rows(h, [2, 0, 0, 1])),
+    # h as a plain term and as a gathered one
+    (
+        "mlp_ln",
+        lambda h: dc.mlp_ln(
+            [(h, None), (h, [2, 0, 0])], dc.Tensor(_W1), dc.Tensor(_W1[:, 0]), dc.Tensor(_W2),
+            dc.Tensor(_W2[:, 0]), dc.Tensor(_POS[1, :3]), dc.Tensor(_C[1, :3]),
+        ),
+    ),
     ("segment_sum", lambda h: dc.segment_sum(h, np.array([1, 0, 1]), 2)),
-    # a column block is a view of its input, so it is read here the way the
-    # surrogate reads it: as the weights of a dense layer
-    ("columns", lambda h: dc.affine(dc.Tensor(_OTHER), dc.columns(h, 1, 3))),
     # h twice, so two row slices of one gradient reach the same input
     ("concat_rows", lambda h: dc.concat_rows([h, dc.Tensor(_C[:1]), dc.index_rows(h, [2, 0]), h])),
     ("clip", lambda h: dc.clip(h, -0.5, 0.5)),

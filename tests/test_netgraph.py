@@ -62,6 +62,20 @@ class TestBuildGraph:
         assert g.capacities.tolist() == [1.0, 2.0]
         assert g.receivers.tolist() == [1, 0] and g.senders.tolist() == [0, 1]
 
+    def test_fractional_indices_rejected(self):
+        # truncating them would build another topology without an error
+        for n, receivers, senders in [
+            (2, [1.7, 0.2], [0.9, 1.4]),
+            (2.9, [1, 0], [0, 1]),
+            (2, [1.0, np.nan], [0.0, 1.0]),
+            (2, [1, 0], [0.0, np.inf]),
+            (float("nan"), [1, 0], [0, 1]),
+        ]:
+            with pytest.raises(ng.GraphError):
+                ng.Graph(n, receivers, senders, [1.0, 1.0])
+        g = ng.Graph(2.0, [1.0, 0.0], np.array([0, 1], dtype=np.uint8), [1.0, 1.0])
+        assert g.node_count == 2 and type(g.node_count) is int
+        assert g.receivers.tolist() == [1, 0] and g.senders.dtype == np.int64
 
 
 class TestPairEnumeration:

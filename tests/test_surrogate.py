@@ -370,6 +370,21 @@ class TestPredictAllPairs:
         assert retained <= bound, f"tape retains {retained / bound:.2f} of the bound"
 
 
+class TestTapeSize:
+    @pytest.mark.parametrize("trained", [False, True], ids=["fixed", "trained"])
+    def test_forward_records_one_op_per_block(self, trained):
+        # each MLP block is one fused op: per round an edge block, its
+        # aggregation and a node block, plus the encoders and the decoder
+        g = chorded_ring()
+        config = sg.GnnConfig(hidden=8, rounds=8)
+        model = sg.GnnModel.initialize(config, seed=1)
+        w = dc.Tensor(np.random.default_rng(6).uniform(0.5, 2.0, g.edge_count), requires_grad=True)
+        ind = sg.query_indicators(g, [(0, 5), (3, 1)])
+        with dc.Tape() as tape:
+            sg.forward(g, w, ind, model, model_tensors=model.tensors(requires_grad=trained))
+        assert len(tape._ops) <= 3 * config.rounds + 8
+
+
 class TestEquivariance:
     def test_node_relabeling(self, small_graph):
         model = sg.GnnModel.initialize(sg.GnnConfig(hidden=8, rounds=3), seed=7)
