@@ -13,8 +13,8 @@ those plus only the arrays its formula reads.  ReLU and clip keep a
 boolean mask, sigmoid and exp their output, layer normalization the
 standardized values and the inverse deviations, a product or quotient
 an operand only when the other side needs its gradient, a dense layer
-its activations only when its weights need a gradient, and a row
-concatenation (``concat_rows``) nothing but its row offsets.  The fused
+its activations only when its weights need a gradient, and a row map
+(``map_rows``) its part tapes and their row offsets.  The fused
 MLP block (``mlp_ln``) keeps what its unfused chain would: the
 standardized values, the inverse deviations and a boolean ReLU mask,
 its inputs only when its first weights need a gradient, and its ReLU
@@ -34,6 +34,7 @@ the Adam update rule, and a finite-difference gradient checker.
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 from dataclasses import dataclass, field
 
@@ -122,7 +123,10 @@ class Tape:
     """Records operations for one reverse-mode gradient computation.
 
     Use as a context manager; ops run inside the block are recorded (on
-    the innermost active tape only).  A tape belongs to a single thread.
+    the innermost active tape only).  A tape records on the one thread
+    that entered it.  Its reverse pass runs on the thread that calls
+    :meth:`gradient`, except that a :func:`map_rows` op pulls its part
+    tapes back on the pool.
     """
 
     def __init__(self):
@@ -166,16 +170,7 @@ class Tape:
         if output.size != 1:
             raise NotScalarOutputError(f"output has shape {output.shape}; expected a scalar")
 
-        grads: dict[int, np.ndarray] = {output._uid: np.ones_like(output.data)}
-        for i in range(len(self._ops) - 1, -1, -1):
-            uid, backward = self._ops[i]
-            g = grads.pop(uid, None)
-            if g is None:
-                continue
-            for in_uid, gin in backward(g):
-                acc = grads.get(in_uid)
-                grads[in_uid] = gin if acc is None else acc + gin
-
+        grads = self._pullback({output._uid: np.ones_like(output.data)})
         results = []
         for t in wanted:
             if t._uid == output._uid:
@@ -189,6 +184,26 @@ class Tape:
             g = grads.get(t._uid)
             results.append(np.zeros_like(t.data) if g is None else np.asarray(g))
         return results[0] if single else results
+
+    def _pullback(self, seeds: dict) -> dict:
+        """Replays the recorded ops in reverse from ``seeds``, uid -> gradient.
+
+        Returns the gradients no recorded op consumed: those of the
+        tensors this tape read but did not produce.
+        """
+        grads = dict(seeds)
+        for uid, backward in reversed(self._ops):
+            if uid in grads:
+                # no local outlives the call, so an op's output gradient and
+                # the summands are freed before the next op runs
+                _add_gradients(grads, backward(grads.pop(uid)))
+        return grads
+
+
+def _add_gradients(grads: dict, pairs) -> None:
+    for in_uid, gin in pairs:
+        acc = grads.get(in_uid)
+        grads[in_uid] = gin if acc is None else acc + gin
 
 
 def _finish(out_data, grad_inputs: list[Tensor], make_backward) -> Tensor:
@@ -406,22 +421,118 @@ def reshape(a, shape) -> Tensor:
     return _finish(data, [a], backward)
 
 
-def concat_rows(parts) -> Tensor:
-    """Row concatenation ``np.concatenate(parts, axis=0)``.
+def _row_stack(outs: list) -> np.ndarray:
+    """``np.concatenate`` of the outputs' rows, which must agree past axis 0."""
+    if not outs or any(o.ndim == 0 or o.shape[1:] != outs[0].shape[1:] for o in outs):
+        raise ShapeMismatchError(f"map_rows: part shapes {[o.shape for o in outs]}")
+    return np.concatenate([o.data for o in outs], axis=0)
 
-    The parts must agree on every axis past the first.  The backward hands
-    each part its row slice of ``g`` and keeps nothing but the offsets.
+
+def map_rows(fn, parts, wrt) -> Tensor:
+    """Row concatenation of ``fn(p)`` over ``parts``, pulled back in parallel.
+
+    Args:
+        fn: Maps one part to a Tensor of at least one axis; the outputs
+            must agree on every axis past the first.
+        parts: Non-empty sequence of arguments for ``fn``; they are not
+            differentiated.
+        wrt: Every tracked tensor ``fn`` reads from outside its part.
+
+    With no active tape, or when no ``wrt`` tensor requires a gradient,
+    this is the concatenation and nothing more.  Otherwise each ``fn(p)``
+    runs on the calling thread under a tape of its own, and one op is
+    recorded on the active tape.  Its backward hands each part tape its
+    row slice of ``g``, pulls the parts back on a pool of
+    :data:`POOL_WORKERS` threads, and sums each ``wrt`` gradient over the
+    parts in reverse part order, the order one tape over every part would
+    add them in.  With one worker, or when the backward already runs on a
+    pool thread (a nested ``map_rows``), the parts are pulled back inline.
+
+    Raises:
+        ShapeMismatchError: there are no parts, or their outputs do not
+            stack by rows.
+        DiffcoreError: a part reads a tracked tensor that is not in
+            ``wrt``, whose gradient would otherwise be dropped.
     """
-    parts = [as_tensor(p) for p in parts]
-    if not parts or any(p.ndim == 0 or p.shape[1:] != parts[0].shape[1:] for p in parts):
-        raise ShapeMismatchError(f"concat_rows: part shapes {[p.shape for p in parts]}")
-    offsets = [0, *itertools.accumulate(p.shape[0] for p in parts)]
+    tape = _active_tape()
+    tracked = [t for t in wrt if t.requires_grad]
+    if tape is None or not tracked:
+        outs = [as_tensor(fn(p)) for p in parts]
+        if tape is not None and any(o.requires_grad for o in outs):
+            raise DiffcoreError("map_rows: a part reads a tracked tensor that is not in wrt")
+        return Tensor(_row_stack(outs))
+    wanted = {t._uid for t in tracked}
+    outs, tapes = [], []
+    for p in parts:
+        with Tape() as part_tape:
+            outs.append(as_tensor(fn(p)))
+        if part_tape._seen - {uid for uid, _ in part_tape._ops} - wanted:
+            raise DiffcoreError("map_rows: a part reads a tracked tensor that is not in wrt")
+        tapes.append(part_tape)
+    data = _row_stack(outs)
+    offsets = [0, *itertools.accumulate(o.shape[0] for o in outs)]
 
     def backward(out):
-        slots = [(_tracked_uid(p), lo, hi) for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])]
-        return lambda g: [(up, g[lo:hi]) for up, lo, hi in slots if up is not None]
+        slots = [
+            (part_tape, o._uid, lo, hi)
+            for part_tape, o, lo, hi in zip(tapes, outs, offsets[:-1], offsets[1:])
+            if o.requires_grad
+        ][::-1]
 
-    return _finish(np.concatenate([p.data for p in parts], axis=0), parts, backward)
+        def run(g):
+            totals: dict[int, np.ndarray] = {}
+            for grads in _pull_back_parts([(t, {uo: g[lo:hi]}) for t, uo, lo, hi in slots]):
+                _add_gradients(totals, [(u, grads[u]) for u in wanted if u in grads])
+            return list(totals.items())
+
+        return run
+
+    return _finish(data, tracked, backward)
+
+
+# Threads that pull map_rows parts back: one per CPU this process may run
+# on.  The pool starts on first use, so importing the package starts none,
+# and concurrent.futures (about 0.5 MB resident) is imported only then.
+if hasattr(os, "sched_getaffinity"):
+    POOL_WORKERS = len(os.sched_getaffinity(0))
+else:
+    POOL_WORKERS = os.cpu_count() or 1
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _mark_pool_thread() -> None:
+    _tls.pool_thread = True
+
+
+def _pull_back_parts(jobs):
+    """Yields ``tape._pullback(seeds)`` for each ``(tape, seeds)`` job, in order.
+
+    The jobs go to the pool in order, unless there is one worker or the
+    caller is itself a pool thread: a pool thread that waited on the pool
+    could leave no worker free to run what it waits for.
+    """
+    global _pool
+    if POOL_WORKERS <= 1 or len(jobs) <= 1 or getattr(_tls, "pool_thread", False):
+        for part_tape, seeds in jobs:
+            yield part_tape._pullback(seeds)
+        return
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                POOL_WORKERS, thread_name_prefix="diffcore-pullback", initializer=_mark_pool_thread
+            )
+    futures = [_pool.submit(part_tape._pullback, seeds) for part_tape, seeds in jobs]
+    try:
+        for f in futures:
+            yield f.result()
+    finally:
+        # on an error, no part is left running once it reaches the caller
+        for f in futures:
+            f.cancel()
+        wait(futures)
 
 
 def matmul(a, b) -> Tensor:

@@ -230,6 +230,8 @@ def ordered_pairs(node_count: int) -> np.ndarray:
 
 def pair_index(node_count: int, u: int, v: int) -> int:
     """Row index of ordered pair (u, v) in the fixed enumeration."""
+    if not (0 <= u < node_count and 0 <= v < node_count):
+        raise GraphError(f"pair ({u}, {v}) has an endpoint outside [0, {node_count})")
     if u == v:
         raise GraphError("ordered pairs require u != v")
     return u * (node_count - 1) + (v if v < u else v - 1)

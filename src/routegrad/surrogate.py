@@ -6,9 +6,11 @@ lying on the weighted shortest path.  :func:`forward` is the one batched
 evaluation; :func:`predict_all_pairs` runs it over every ordered node
 pair, which yields a soft routing matrix that is differentiable with
 respect to the link weights, the matrix the weight optimizer descends
-through.  It walks the pairs in query chunks sized so that one latent
-block stays cache-resident (:data:`QUERY_BLOCK_BYTES`); on a tape, the
-reverse pass then walks the same chunks.
+through.  It walks the pairs in query chunks sized so that the latent
+blocks in flight stay cache-resident (:data:`QUERY_BLOCK_BYTES`).  The
+forward runs the chunks one after another on the calling thread; on a
+tape, each chunk records on a tape of its own, and the reverse pass pulls
+the chunks back on :data:`diffcore.POOL_WORKERS` threads at once.
 
 Architecture: node features ``[I(u=i), I(v=i)]`` and edge features
 ``[w_k]`` are encoded independently by 2-layer MLPs, each followed by
@@ -44,10 +46,12 @@ CHECKPOINT_FORMAT = "routegrad-gnn"
 CHECKPOINT_VERSION = 2
 NODE_FEATURES = 2
 EDGE_FEATURES = 1
-# Largest ``[chunk, n_e, hidden]`` latent block predict_all_pairs builds.
-# Each op of the forward, and of its backward on a tape, streams blocks of
-# this size; at 1 MiB one stays resident in a 2 MiB L2 cache between the
-# element-wise passes instead of going out to memory on every pass.
+# Largest sum of the ``[chunk, n_e, hidden]`` latent blocks predict_all_pairs
+# has in flight at once.  Its backward pulls diffcore.POOL_WORKERS chunks
+# back in parallel, so a chunk's block is at most this // POOL_WORKERS.
+# Each op streams blocks of that size; at 1 MiB in all they stay resident
+# in a 2 MiB L2 cache between the element-wise passes instead of going out
+# to memory on every pass.
 QUERY_BLOCK_BYTES = 2**20
 
 
@@ -260,21 +264,23 @@ def predict_all_pairs(model: GnnModel, g: Graph, weights) -> dc.Tensor:
     Row i corresponds to ``ordered_pairs(n)[i]``; differentiable with
     respect to ``weights``.  The pairs are evaluated in near-equal query
     chunks whose ``[chunk, n_e, hidden]`` latent block is at most
-    :data:`QUERY_BLOCK_BYTES`, one :func:`forward` per chunk with shared
-    parameter tensors, and the rows are joined by
-    :func:`diffcore.concat_rows`.  Queries do not interact, so each row is
-    the one a single batched forward gives; a batch that fits in one chunk
-    is that forward's output as is.
+    ``QUERY_BLOCK_BYTES // diffcore.POOL_WORKERS``, one :func:`forward`
+    per chunk with shared parameter tensors, joined by
+    :func:`diffcore.map_rows`: the forwards run in turn on the calling
+    thread, and on a tape the chunks are pulled back in parallel.
+    Queries do not interact, so each row is the one a single batched
+    forward gives.
     """
     ind = query_indicators(g, ordered_pairs(g.node_count))
     block = g.edge_count * model.config.hidden * ind.itemsize
-    chunk = max(1, QUERY_BLOCK_BYTES // max(1, block))
+    chunk = max(1, QUERY_BLOCK_BYTES // dc.POOL_WORKERS // max(1, block))
     mt = model.tensors()
-    parts = [
-        forward(g, weights, rows, model, model_tensors=mt)[0]
-        for rows in np.array_split(ind, max(1, -(-len(ind) // chunk)))
-    ]
-    return parts[0] if len(parts) == 1 else dc.concat_rows(parts)
+    w = dc.as_tensor(weights)
+    return dc.map_rows(
+        lambda rows: forward(g, w, rows, model, model_tensors=mt)[0],
+        np.array_split(ind, max(1, -(-len(ind) // chunk))),
+        [w],
+    )
 
 
 # ---------------------------------------------------------------------------

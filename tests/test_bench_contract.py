@@ -15,7 +15,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import spans  # noqa: E402
 import workloads  # noqa: E402
-from routegrad import surrogate  # noqa: E402
+from routegrad import diffcore, surrogate  # noqa: E402
 
 
 def test_every_traced_target_is_defined_on_its_owner():
@@ -38,6 +38,21 @@ def test_traced_train_step_runs_and_restores_originals():
     assert totals["surrogate.forward"][0] == 1
     assert totals["diffcore.affine"][0] > 0 and totals["diffcore.affine_sum"][0] > 0
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
+
+
+def test_traced_descent_step_runs():
+    # the tracer keeps one stack of open spans, so every traced call must
+    # run on the calling thread: the chunk forwards do, and only their
+    # untraced pullbacks run on the pool
+    work = workloads.DescentN24(1)
+    with spans.installed(spans.Tracer()) as tracer:
+        assert work.step() == work.g.pair_count
+    assert tracer._open == [] and all(span[2] > 0.0 for span in tracer.spans)
+    totals = tracer.totals()
+    block = work.g.edge_count * work.model.config.hidden * 8
+    chunk = surrogate.QUERY_BLOCK_BYTES // diffcore.POOL_WORKERS // block
+    assert totals["diffcore.tape_gradient"][0] == 1
+    assert totals["surrogate.forward"][0] == -(-work.g.pair_count // chunk)
 
 
 def test_traced_search_step_evaluates_once():

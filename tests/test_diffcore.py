@@ -1,7 +1,13 @@
+import contextlib
 import gc
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,19 +130,148 @@ class TestAffineSum:
         )
 
 
-class TestConcatRows:
-    def test_values_and_part_shapes(self):
+def _part_term(h, rows, w):
+    """One part of a row map: dense, ReLU and a sigmoid over gathered rows."""
+    return dc.sigmoid(dc.relu(dc.affine(dc.index_rows(h, rows), w)))
+
+
+def _failing_copy(x: dc.Tensor) -> dc.Tensor:
+    """A copy of ``x`` whose backward raises."""
+
+    def make_backward(out):
+        def run(g):
+            raise FloatingPointError("part backward failed")
+
+        return run
+
+    return dc._finish(x.data.copy(), [x], make_backward)
+
+
+class TestMapRows:
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    def test_values_and_part_shapes(self, taped):
         a, b = np.arange(6.0).reshape(3, 2), -np.ones((1, 2))
-        assert np.array_equal(dc.concat_rows([a, b]).data, np.concatenate([a, b]))
-        bad = [
-            [np.zeros((2, 3)), np.zeros((1, 4))],
-            [np.zeros((2, 3, 1)), np.zeros((2, 3))],
-            [np.zeros(()), np.zeros(())],
-            [],
-        ]
-        for parts in bad:
-            with pytest.raises(dc.ShapeMismatchError):
-                dc.concat_rows(parts)
+        x = dc.Tensor(np.ones(2), requires_grad=True)
+        wrt = [x] if taped else []
+        with dc.Tape() if taped else contextlib.nullcontext():
+            y = dc.map_rows(lambda p: dc.mul(p, x), [a, b], wrt)
+            assert np.array_equal(y.data, np.concatenate([a, b]))
+            bad = [
+                [np.zeros((2, 3)), np.zeros((1, 4))],
+                [np.zeros((2, 3, 1)), np.zeros((2, 3))],
+                [np.zeros(()), np.zeros(())],
+                [],
+            ]
+            for parts in bad:
+                with pytest.raises(dc.ShapeMismatchError):
+                    dc.map_rows(lambda p: dc.mul(p, 1.0), parts, wrt)
+
+    @staticmethod
+    def _gradient(w0, x0, rows):
+        w = dc.Tensor(w0, requires_grad=True)
+        x = dc.Tensor(x0, requires_grad=True)
+        with dc.Tape() as tape:
+            y = dc.map_rows(lambda r: _part_term(x, r, w), rows, [w, x])
+            total = dc.tensor_sum(dc.mul(y, np.cos(np.arange(y.size)).reshape(y.shape)))
+        return tape.gradient(total, [w, x])
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_pool_pullback_bitwise_equals_inline(self, monkeypatch, workers):
+        # 4 workers outnumber the cores of a 2-CPU host, and a short switch
+        # interval interleaves the part pullbacks as finely as it can
+        rng = np.random.default_rng(7)
+        w0, x0 = rng.normal(size=(6, 4)), rng.normal(size=(5, 4))
+        rows = [rng.integers(0, 5, k) for k in (3, 1, 4, 2, 5, 3)]
+        monkeypatch.setattr(dc, "POOL_WORKERS", 1)
+        inline = self._gradient(w0, x0, rows)
+
+        threads, pullback = [], dc.Tape._pullback
+
+        def recorded(tape, seeds):
+            threads.append(threading.current_thread())
+            return pullback(tape, seeds)
+
+        monkeypatch.setattr(dc.Tape, "_pullback", recorded)
+        monkeypatch.setattr(dc, "POOL_WORKERS", workers)
+        monkeypatch.setattr(dc, "_pool", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = self._gradient(w0, x0, rows)
+        finally:
+            sys.setswitchinterval(interval)
+            if dc._pool is not None:
+                dc._pool.shutdown()
+        assert len(threads) == 1 + len(rows)
+        assert threads[0] is threading.current_thread()
+        assert all(t is not threading.current_thread() for t in threads[1:])
+        for a, b in zip(inline, pooled):
+            assert np.array_equal(a, b)
+
+    def test_error_in_part_backward_surfaces_and_pool_recovers(self, monkeypatch):
+        monkeypatch.setattr(dc, "POOL_WORKERS", 2)
+        x = dc.Tensor(np.arange(1.0, 7.0).reshape(3, 2), requires_grad=True)
+        with dc.Tape() as tape:
+            y = dc.map_rows(lambda k: _failing_copy(x) if k == 2 else dc.mul(x, float(k)), range(4), [x])
+            total = dc.tensor_sum(y)
+        with pytest.raises(FloatingPointError, match="part backward failed"):
+            tape.gradient(total, x)
+        with dc.Tape() as tape:
+            total = dc.tensor_sum(dc.map_rows(lambda k: dc.mul(x, float(k)), range(4), [x]))
+        assert np.array_equal(tape.gradient(total, x), np.full((3, 2), 6.0))
+
+    def test_unlisted_tracked_tensor_raises(self):
+        x = dc.Tensor(np.ones((2, 3)), requires_grad=True)
+        other = dc.Tensor(np.ones(3), requires_grad=True)
+        with dc.Tape():
+            for wrt in ([], [other]):
+                with pytest.raises(dc.DiffcoreError, match="not in wrt"):
+                    dc.map_rows(lambda k: dc.mul(x, other if k else 1.0), range(2), wrt)
+
+    def test_nested_map_rows_completes(self):
+        # each outer part's pullback runs on a pool thread and pulls its
+        # inner parts back there, instead of waiting for a free worker.  A
+        # deadlock would also hang interpreter exit, which joins the pool's
+        # threads, so the case runs in a child process with a time limit.
+        _run_child(_NESTED_MAP_ROWS)
+
+    def test_import_starts_no_thread(self):
+        _run_child("import threading, routegrad.surrogate\nassert threading.active_count() == 1")
+
+
+def _run_child(code: str) -> None:
+    """Runs ``code`` in a fresh interpreter that imports this ``routegrad``."""
+    src = str(Path(dc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+_NESTED_MAP_ROWS = """
+import numpy as np
+from routegrad import diffcore as dc
+
+dc.POOL_WORKERS = 2
+rng = np.random.default_rng(8)
+w = dc.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+x = dc.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+rows = [rng.integers(0, 5, k) for k in (3, 1, 4, 2, 5, 3)]
+
+
+def term(r):
+    return dc.sigmoid(dc.relu(dc.affine(dc.index_rows(x, r), w)))
+
+
+def gradient(fn, parts):
+    with dc.Tape() as tape:
+        total = dc.tensor_sum(dc.map_rows(fn, parts, [w, x]))
+    return tape.gradient(total, [w, x])
+
+
+nested = gradient(lambda pair: dc.map_rows(term, pair, [w, x]), [rows[:2], rows[2:4], rows[4:]])
+flat = gradient(term, rows)
+assert all(np.allclose(a, b, rtol=1e-13, atol=1e-15) for a, b in zip(nested, flat))
+"""
 
 
 class TestLayerNormalize:
@@ -538,6 +673,16 @@ class TestFiniteDifferenceCheck:
         assert err == 0.0
 
 
+def _row_map_parts(const):
+    """Row-map parts that gather, ignore and pass through their input."""
+    return [
+        lambda h: dc.index_rows(h, [2]),
+        lambda h: dc.Tensor(const),
+        lambda h: h,
+        lambda h: dc.index_rows(h, [0, 1]),
+    ]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_every_primitive_gradient_matches_fd(seed):
     rng = np.random.default_rng(100 + seed)
@@ -562,13 +707,14 @@ def test_every_primitive_gradient_matches_fd(seed):
         (lambda t: dc.tensor_sum(dc.layer_normalize(t, dc.Tensor(gain), dc.Tensor(np.zeros(4)))), x),
         (lambda t: dc.tensor_sum(dc.sigmoid(dc.index_rows(t, idx))), x.T),
         (lambda t: dc.tensor_sum(dc.sigmoid(dc.segment_sum(t, np.array([1, 0, 1]), 2))), x),
-        # parts of 1, 2 (a constant), 3 and 2 rows; the cosine weights tell
-        # every row apart, so a slice handed to the wrong part shows
+        # parts of 1, 2 (a constant), 3 (the input itself) and 2 rows; the
+        # cosine weights tell every row apart, so a slice handed to the
+        # wrong part shows
         (
             lambda t: dc.tensor_sum(
                 dc.sigmoid(
                     dc.mul(
-                        dc.concat_rows([dc.index_rows(t, [2]), dc.Tensor(W), t, dc.index_rows(t, [0, 1])]),
+                        dc.map_rows(lambda part: part(t), _row_map_parts(W), [t]),
                         np.cos(np.arange(32.0)).reshape(8, 4),
                     )
                 )
@@ -611,8 +757,8 @@ UNREAD_INPUT_OPS = [
         ),
     ),
     ("segment_sum", lambda h: dc.segment_sum(h, np.array([1, 0, 1]), 2)),
-    # h twice, so two row slices of one gradient reach the same input
-    ("concat_rows", lambda h: dc.concat_rows([h, dc.Tensor(_C[:1]), dc.index_rows(h, [2, 0]), h])),
+    # h passed through twice, so two row slices of one gradient reach it
+    ("map_rows", lambda h: dc.map_rows(lambda part: part(h), [*_row_map_parts(_C[:1]), lambda h: h], [h])),
     ("clip", lambda h: dc.clip(h, -0.5, 0.5)),
     ("tensor_sum", lambda h: dc.tensor_sum(h, axis=0)),
     ("mean", lambda h: dc.mean(h, axis=-1)),

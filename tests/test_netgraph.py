@@ -94,6 +94,12 @@ class TestPairEnumeration:
         with pytest.raises(ng.GraphError):
             ng.pair_index(4, 2, 2)
 
+    @pytest.mark.parametrize("u, v", [(5, 0), (0, 7), (-1, 0), (0, -1), (3, 0), (0, 3)])
+    def test_endpoint_outside_nodes_rejected(self, u, v):
+        # unchecked, (5, 0) read row 10 and (-1, 0) row -3 of a 6-row matrix
+        with pytest.raises(ng.GraphError):
+            ng.pair_index(3, u, v)
+
 
 class TestDefaultWeights:
     def test_uniform_capacity(self):

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -241,10 +242,12 @@ def chorded_ring():
 
 
 def force_chunks(monkeypatch, g, model, queries):
-    """Shrinks the latent block so predict_all_pairs walks chunks of at most
-    ``queries`` pairs, and returns the list the row count of every
-    ``forward`` call it makes is appended to."""
-    monkeypatch.setattr(sg, "QUERY_BLOCK_BYTES", queries * g.edge_count * model.config.hidden * 8)
+    """Shrinks the latent blocks so predict_all_pairs walks chunks of at
+    most ``queries`` pairs, one such block per pullback worker, and returns
+    the list the row count of every ``forward`` call it makes is appended
+    to."""
+    block = queries * g.edge_count * model.config.hidden * 8
+    monkeypatch.setattr(sg, "QUERY_BLOCK_BYTES", block * dc.POOL_WORKERS)
     rows, forward = [], sg.forward
 
     def counted(g, weights, indicators, *args, **kwargs):
@@ -322,14 +325,20 @@ class TestPredictAllPairs:
 
     def test_transient_memory_stays_within_chunk_blocks(self, monkeypatch):
         # beyond what the tape retains, forward and backward hold a few
-        # latent blocks of one chunk at a time (about 6.5 here), not of the
-        # whole batch of 90 pairs, which is 12 chunks
+        # latent blocks of the chunks in flight at a time (about 5 blocks of
+        # 8 queries here), not of the whole batch of 90 pairs; two workers
+        # pull back two chunks of 4 at once
         g = chorded_ring()
         config = sg.GnnConfig(hidden=32, rounds=3)
         model = sg.GnnModel.initialize(config, seed=1)
         w = dc.Tensor(np.random.default_rng(6).uniform(0.5, 2.0, g.edge_count), requires_grad=True)
         chunk = 8
-        rows = force_chunks(monkeypatch, g, model, chunk)
+        # a pool of exactly two threads, whatever the host's CPU count,
+        # started before the measurement
+        pool = ThreadPoolExecutor(2, initializer=dc._mark_pool_thread)
+        monkeypatch.setattr(dc, "POOL_WORKERS", 2)
+        monkeypatch.setattr(dc, "_pool", pool)
+        rows = force_chunks(monkeypatch, g, model, chunk // 2)
         bound = 8 * chunk * g.edge_count * config.hidden * 8
 
         tracemalloc.start()
@@ -343,8 +352,9 @@ class TestPredictAllPairs:
             transient = tracemalloc.get_traced_memory()[1] - start - retained
         finally:
             tracemalloc.stop()
+            pool.shutdown()
         assert transient <= bound, f"transient peak is {transient / bound:.2f} of the bound"
-        assert len(rows) >= 3 and max(rows) == chunk
+        assert len(rows) >= 3 and max(rows) == chunk // 2
 
     def test_tape_retains_only_normalized_states(self):
         # with fixed parameters, backward needs per processed latent element
