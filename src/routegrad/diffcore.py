@@ -27,8 +27,8 @@ a formula needs (``log`` keeps its argument, ``div`` its divisor) and
 views: a ``reshape`` output shares its input's buffer, so it keeps it
 alive for as long as the caller holds it.
 
-Also here: the temperature-weighted soft maximum, binary cross-entropy,
-the Adam update rule, and a finite-difference gradient checker.
+Also here: the temperature-weighted soft maximum, binary cross-entropy
+and the Adam update rule.
 """
 
 from __future__ import annotations
@@ -903,6 +903,7 @@ def mlp_ln(terms, w1, b1, w2, b2, gain, bias) -> Tensor:
             gu, ggain, gbias = _standardize_backward(
                 g, xhat, istd, g_data, need_second, ugain is not None, ubias is not None
             )
+            del g
             pairs = [(u, gp) for u, gp in ((ugain, ggain), (ubias, gbias)) if u is not None]
             if gu is None:
                 return pairs
@@ -1025,47 +1026,3 @@ def adam_step(
         p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
     return state, params
 
-
-# ---------------------------------------------------------------------------
-# verification utility
-
-
-def finite_difference_check(f, x: np.ndarray, h: float = 1e-5) -> float:
-    """Error of the taped gradient versus central differences, relative to its scale.
-
-    The error is measured against the largest gradient entry rather than
-    entry by entry: central differences carry an absolute roundoff floor
-    of about ``eps * |f| / h``, so a correct gradient with some entries
-    below that floor would otherwise fail whatever the step.
-
-    Args:
-        f: Callable mapping one Tensor to a scalar Tensor.
-        x: Point at which to compare, any shape.
-        h: Central-difference step.
-
-    Returns:
-        ``max_i |analytic_i - fd_i| / max(max_i |analytic_i|, max_i |fd_i|)``,
-        or 0.0 when both gradients are exactly zero.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    xt = Tensor(x.copy(), requires_grad=True)
-    with Tape() as tape:
-        y = f(xt)
-    analytic = tape.gradient(y, xt)
-
-    flat = x.copy()
-    view = flat.ravel()
-    fd = np.zeros_like(view)
-    for i in range(view.size):
-        orig = view[i]
-        view[i] = orig + h
-        fp = float(f(Tensor(flat.copy())).data)
-        view[i] = orig - h
-        fm = float(f(Tensor(flat.copy())).data)
-        view[i] = orig
-        fd[i] = (fp - fm) / (2.0 * h)
-    fd = fd.reshape(x.shape)
-    scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(fd))))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(analytic - fd))) / scale

@@ -1,8 +1,8 @@
 """Exact weighted shortest-path routing with deterministic ties.
 
-Produces the ground truth consumed everywhere else: per-pair path
-vectors, the stacked all-pairs routing matrix, and a fast exact
-link-load evaluator used by the optimizers.  All of them read one
+Produces the ground truth consumed everywhere else: the all-pairs
+routing matrix, whose rows are the training labels, and a fast exact
+link-load evaluator used by the optimizers.  Both read one
 computation, :func:`_trees`, which finds the shortest-path trees of many
 sources at once with numpy min-plus rounds; its distances equal those of
 a heap-based Dijkstra run per source bit for bit.
@@ -16,15 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .netgraph import Graph, GraphError, validate_demands, validate_weights
+from .netgraph import Graph, GraphError, ordered_pairs, validate_demands, validate_weights
 
 
 class UnreachableError(GraphError):
     """A node was unreachable; impossible on a validated graph."""
-
-
-class SameEndpointsError(GraphError):
-    """A path was requested from a node to itself."""
 
 
 def _trees(g: Graph, w: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,40 +93,17 @@ def shortest_path_tree(g: Graph, weights: np.ndarray, src: int) -> tuple[np.ndar
     return dist[0], pred[0]
 
 
-def path_edges(g: Graph, pred: np.ndarray, src: int, dst: int) -> list[int]:
-    """Edge indices of the chosen path, walked back from ``dst`` to ``src``."""
-    edges = []
-    node = dst
-    while node != src:
-        k = int(pred[node])
-        if k < 0:
-            raise UnreachableError(f"no predecessor recorded for node {node}")
-        edges.append(k)
-        node = int(g.senders[k])
-    edges.reverse()
-    return edges
-
-
-def path_vector(g: Graph, weights: np.ndarray, u: int, v: int) -> np.ndarray:
-    """Binary membership vector of the tie-broken shortest path u -> v."""
-    if u == v:
-        raise SameEndpointsError("path endpoints must differ")
-    _, pred = shortest_path_tree(g, weights, u)
-    p = np.zeros(g.edge_count)
-    p[path_edges(g, pred, u, v)] = 1.0
-    return p
-
-
 def routing_matrix(g: Graph, weights: np.ndarray) -> np.ndarray:
-    """All-pairs routing matrix: one path vector per ordered pair.
+    """All-pairs routing matrix, ``[n*(n-1), edge_count]``.
 
-    Row ``pair_index(n, u, v)`` satisfies the :func:`path_vector`
-    contract for (u, v).  The predecessor links of every pair are walked
-    back together, one hop per iteration.
+    Row i is the 0/1 link membership of the shortest path of
+    ``ordered_pairs(n)[i]``, ties broken toward the lowest sender as in
+    :func:`_trees`.  The predecessor links of every pair are walked back
+    together, one hop per iteration.
     """
     n = g.node_count
     _, pred = _trees(g, validate_weights(g, weights), np.arange(n))
-    u, v = np.nonzero(~np.eye(n, dtype=bool))  # ordered_pairs order
+    u, v = ordered_pairs(n).T
     P = np.zeros((g.pair_count, g.edge_count))
     pair = np.arange(g.pair_count)
     while pair.size:
@@ -159,7 +132,7 @@ def link_loads(g: Graph, weights: np.ndarray, demands: np.ndarray) -> np.ndarray
     dist, pred = _trees(g, w, np.arange(n))
     rows = np.arange(n)
     carry = np.zeros((n, n))
-    carry[~np.eye(n, dtype=bool)] = d
+    carry[~np.eye(n, dtype=bool)] = d  # the off-diagonal in row-major order is ordered_pairs'
     # the source alone has distance 0, so it comes last and is never swept
     rank = np.argsort(dist, axis=1, kind="stable")[:, ::-1]
     per_source = np.zeros((n, g.edge_count))

@@ -1,10 +1,11 @@
-"""Directed network model and exact link-utilization arithmetic.
+"""Directed network model and the checks on what is routed over it.
 
 The data model is deliberately small: a validated directed graph with
 per-link capacities, plus plain float64 numpy vectors for link weights,
-traffic demands, path membership and link utilization.  All vectors over
-source-destination pairs follow one fixed enumeration (see
-:func:`ordered_pairs`), so they can be combined without bookkeeping.
+traffic demands and path membership, each with its validator here.
+Every array over source-destination pairs, demand vectors and
+routing-matrix rows alike, follows one fixed enumeration,
+:func:`ordered_pairs`.
 """
 
 from __future__ import annotations
@@ -214,27 +215,10 @@ def ordered_pairs(node_count: int) -> np.ndarray:
     refer to ``ordered_pairs(n)[i]``.
 
     Returns:
-        int array of shape ``(n*(n-1), 2)``.
+        int64 array of shape ``(n*(n-1), 2)``.
     """
     n = int(node_count)
-    pairs = np.empty((n * (n - 1), 2), dtype=np.int64)
-    i = 0
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                pairs[i, 0] = u
-                pairs[i, 1] = v
-                i += 1
-    return pairs
-
-
-def pair_index(node_count: int, u: int, v: int) -> int:
-    """Row index of ordered pair (u, v) in the fixed enumeration."""
-    if not (0 <= u < node_count and 0 <= v < node_count):
-        raise GraphError(f"pair ({u}, {v}) has an endpoint outside [0, {node_count})")
-    if u == v:
-        raise GraphError("ordered pairs require u != v")
-    return u * (node_count - 1) + (v if v < u else v - 1)
+    return np.argwhere(~np.eye(n, dtype=bool))
 
 
 def floor_weights(weights: np.ndarray) -> np.ndarray:
@@ -280,22 +264,6 @@ def validate_demands(g: Graph, demands: np.ndarray) -> np.ndarray:
     if not np.all((d >= 0.0) & (d < np.inf)):
         raise GraphError("demands must be finite and non-negative")
     return d
-
-
-def utilization(g: Graph, routing: np.ndarray, demands: np.ndarray) -> np.ndarray:
-    """Per-link utilization of a routing under a demand vector.
-
-    ``rho_k = sum_i d_i * P[i, k] / c_k`` where row i of ``routing`` is the
-    path membership vector of ordered pair i.  Values above 1 denote
-    overload; they are returned as-is.
-    """
-    P = np.asarray(routing, dtype=np.float64)
-    if P.shape != (g.pair_count, g.edge_count):
-        raise DimensionMismatchError(
-            f"routing matrix has shape {P.shape}, expected ({g.pair_count}, {g.edge_count})"
-        )
-    d = validate_demands(g, demands)
-    return (d @ P) / g.capacities
 
 
 def validate_path_vector(g: Graph, membership: np.ndarray, u: int, v: int) -> None:

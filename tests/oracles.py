@@ -1,10 +1,11 @@
 """Independent brute-force oracles used across the test suite.
 
 Everything here is deliberately naive: exhaustive enumeration,
-one-demand-at-a-time accumulation, and plain-Python heap Dijkstra with
-one tree sweep per source, which the all-sources evaluator must match
-bit for bit.  These functions never call the library's routing or
-utilization code paths.
+one-demand-at-a-time accumulation, plain-Python heap Dijkstra with one
+tree sweep per source, which the all-sources evaluator must match bit
+for bit, and central finite differences.  The routing oracles never call
+the library's routing code; the gradient checker calls its autodiff
+only for the gradient under test.
 """
 
 from __future__ import annotations
@@ -12,6 +13,13 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
+
+from routegrad import diffcore as dc
+
+
+def pair_index(n_nodes, u, v):
+    """Row of the ordered pair (u, v), u != v, in the library's pair order."""
+    return u * (n_nodes - 1) + (v if v < u else v - 1)
 
 
 def enumerate_simple_paths(n_nodes, senders, receivers, u, v):
@@ -104,7 +112,7 @@ def sweep_link_loads(n_nodes, senders, receivers, weights, demands):
         carry = np.zeros(n_nodes)
         for v in range(n_nodes):
             if v != u:
-                carry[v] = demands[u * (n_nodes - 1) + (v if v < u else v - 1)]
+                carry[v] = demands[pair_index(n_nodes, u, v)]
         for v in np.argsort(dist, kind="stable")[::-1]:
             if v == u:
                 continue
@@ -180,8 +188,12 @@ def softmax_temperature_reference(x, tau):
 
 
 def central_difference(f, x, h=1e-5):
-    """Central finite-difference gradient of a scalar function of a vector."""
-    x = np.asarray(x, dtype=np.float64)
+    """Central finite-difference gradient of a scalar function of a vector.
+
+    ``f`` sees ``x`` itself, one entry moved at a time; a non-contiguous
+    ``x`` is first copied, since ``ravel`` would not be a view of it.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = x.ravel()
     gflat = grad.ravel()
@@ -194,3 +206,28 @@ def central_difference(f, x, h=1e-5):
         flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def finite_difference_check(f, x, h=1e-5):
+    """Error of the taped gradient versus central differences, relative to its scale.
+
+    ``f`` maps one diffcore Tensor to a scalar Tensor.  The error is
+    measured against the largest gradient entry rather than entry by
+    entry: central differences carry an absolute roundoff floor of about
+    ``eps * |f| / h``, so a correct gradient with some entries below that
+    floor would otherwise fail whatever the step.
+
+    Returns:
+        ``max_i |analytic_i - fd_i| / max(max_i |analytic_i|, max_i |fd_i|)``,
+        or 0.0 when both gradients are exactly zero.
+    """
+    x = np.array(x, dtype=np.float64)  # a copy: central_difference moves its entries
+    xt = dc.Tensor(x.copy(), requires_grad=True)
+    with dc.Tape() as tape:
+        y = f(xt)
+    analytic = tape.gradient(y, xt)
+    fd = central_difference(lambda a: float(f(dc.Tensor(a.copy())).data), x, h)
+    scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(fd))))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(analytic - fd))) / scale

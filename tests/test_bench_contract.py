@@ -2,9 +2,12 @@
 
 Its tracer wraps each ``(owner, attribute)`` of ``spans.TARGETS`` through
 ``owner.__dict__``, so removing or renaming one of those functions breaks
-every traced benchmark run.  These tests make that a tier-1 failure.
+every traced benchmark run.  These tests make that a tier-1 failure, and
+the converse one too: a public name that neither ``routegrad`` itself nor
+the benchmark reaches.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -16,6 +19,43 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import spans  # noqa: E402
 import workloads  # noqa: E402
 from routegrad import diffcore, surrogate  # noqa: E402
+
+
+def _names_read(node, strings=False) -> set:
+    """Identifiers and attribute names under ``node``, and its strings if asked."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names.add(n.value)
+    return names
+
+
+def test_every_public_name_is_called_by_src_or_the_benchmark():
+    # a test alone is no caller: a name only tests reach is a second path
+    # to an answer the loop computes another way.  The checkpoint pair
+    # waits for the training loop of ROADMAP item 1.
+    allowed = {"save_checkpoint", "load_checkpoint"}
+    reached = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        reached |= _names_read(ast.parse(path.read_text()), strings=True)
+    public, statements = [], []
+    for path in sorted((ROOT / "src" / "routegrad").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+                public.append(own)
+            statements.append((own, _names_read(stmt)))
+    unreached = [
+        name
+        for name in public
+        if name not in allowed | reached
+        and not any(name in names for own, names in statements if own != name)
+    ]
+    assert unreached == []
 
 
 def test_every_traced_target_is_defined_on_its_owner():

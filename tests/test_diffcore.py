@@ -14,7 +14,7 @@ import pytest
 
 from routegrad import diffcore as dc
 
-from oracles import central_difference, softmax_temperature_reference
+from oracles import central_difference, finite_difference_check, softmax_temperature_reference
 
 
 def taped_gradient(fn, *arrays):
@@ -362,7 +362,7 @@ class TestMlpLn:
                 args[i] = t
                 return dc.tensor_sum(dc.mul(fused(*args), weights))
 
-            err = dc.finite_difference_check(f, arrays[i])
+            err = finite_difference_check(f, arrays[i])
             assert err < 1e-6, f"input {i}: rel err {err}"
 
     @pytest.mark.parametrize("trained", [False, True], ids=["fixed", "trained"])
@@ -642,12 +642,12 @@ class TestFiniteDifferenceCheck:
         def f(x):
             return dc.tensor_sum(dc.mul(x, dc.reshape(dc.matmul(dc.reshape(x, (1, 4)), dc.Tensor(A)), (4,))))
 
-        err = dc.finite_difference_check(f, rng.normal(size=4))
+        err = finite_difference_check(f, rng.normal(size=4))
         assert err < 1e-9
 
     def test_soft_maximum(self):
         rng = np.random.default_rng(16)
-        err = dc.finite_difference_check(
+        err = finite_difference_check(
             lambda x: dc.soft_maximum(x, 0.1), rng.uniform(0.0, 2.0, 8)
         )
         assert err < 1e-4
@@ -655,7 +655,7 @@ class TestFiniteDifferenceCheck:
     def test_entries_below_roundoff_floor_pass(self):
         # gradient entries span 1e-11 .. 1; a per-entry relative error would
         # read ~1 on the smallest one from central-difference roundoff alone
-        err = dc.finite_difference_check(
+        err = finite_difference_check(
             lambda x: dc.soft_maximum(x, 0.07), np.array([0.0, 1.0, 2.0])
         )
         assert err < 1e-6
@@ -663,13 +663,13 @@ class TestFiniteDifferenceCheck:
     def test_wrong_gradient_fails(self):
         # the detached second factor drops half the gradient: taped x, true 2x
         rng = np.random.default_rng(17)
-        err = dc.finite_difference_check(
+        err = finite_difference_check(
             lambda t: dc.tensor_sum(dc.mul(t, dc.Tensor(t.data))), rng.normal(size=5)
         )
         assert err >= 0.4
 
     def test_zero_gradient_reports_zero(self):
-        err = dc.finite_difference_check(lambda t: dc.tensor_sum(dc.mul(t, 0.0)), np.ones(3))
+        err = finite_difference_check(lambda t: dc.tensor_sum(dc.mul(t, 0.0)), np.ones(3))
         assert err == 0.0
 
 
@@ -725,7 +725,7 @@ def test_every_primitive_gradient_matches_fd(seed):
         (lambda t: dc.tensor_sum(dc.clip(t, -0.5, 0.5)), x + 0.01),
     ]
     for i, (fn, point) in enumerate(cases):
-        err = dc.finite_difference_check(fn, point)
+        err = finite_difference_check(fn, point)
         assert err < 1e-4, f"case {i}: rel err {err}"
 
 

@@ -9,6 +9,7 @@ from oracles import (
     enumerate_simple_paths,
     heap_shortest_path_tree,
     min_path_cost,
+    pair_index,
     sweep_link_loads,
     walked_routing_matrix,
 )
@@ -86,34 +87,30 @@ class TestShortestPathTree:
 
 
 class TestPathVector:
+    """Single rows of the routing matrix: one pair's 0/1 link membership."""
+
     def test_triangle_path(self):
         g, w = triangle()
-        assert xr.path_vector(g, w, 0, 2).tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+        assert xr.routing_matrix(g, w)[pair_index(3, 0, 2)].tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_single_edge(self):
         g = ng.Graph(2, receivers=[1, 0], senders=[0, 1], capacities=[1.0, 1.0])
-        assert xr.path_vector(g, np.array([1.0, 1.0]), 0, 1).tolist() == [1.0, 0.0]
-
-    def test_same_endpoints_rejected(self):
-        g, w = triangle()
-        with pytest.raises(xr.SameEndpointsError):
-            xr.path_vector(g, w, 1, 1)
+        assert xr.routing_matrix(g, np.array([1.0, 1.0]))[pair_index(2, 0, 1)].tolist() == [1.0, 0.0]
 
     def test_cost_equals_tree_distance(self):
         rng = np.random.default_rng(1)
         g = random_graph(rng, 6, extra=3)
         w = dyadic_weights(rng, g.edge_count)
         dist, _ = xr.shortest_path_tree(g, w, 0)
+        P = xr.routing_matrix(g, w)
         for v in range(1, 6):
-            p = xr.path_vector(g, w, 0, v)
-            assert p @ w == dist[v]
+            assert P[pair_index(6, 0, v)] @ w == dist[v]
 
     def test_ring_tie_break_is_lowest_sender(self):
         # 4-node undirected ring, all weights 1: pair (0,2) has two cost-2
         # paths; the rule keeps predecessor with the lower sender index (1).
         g = ng.build_graph(4, [(i, (i + 1) % 4, 1.0, False) for i in range(4)])
-        w = np.ones(g.edge_count)
-        p = xr.path_vector(g, w, 0, 2)
+        p = xr.routing_matrix(g, np.ones(g.edge_count))[pair_index(4, 0, 2)]
         ng.validate_path_vector(g, p, 0, 2)
         used = np.flatnonzero(p)
         nodes_on_path = set(g.senders[used].tolist()) | set(g.receivers[used].tolist())
@@ -123,11 +120,11 @@ class TestPathVector:
         rng = np.random.default_rng(9)
         for _ in range(10):
             g = random_graph(rng, int(rng.integers(3, 7)), extra=2)
-            w = dyadic_weights(rng, g.edge_count)
+            P = xr.routing_matrix(g, dyadic_weights(rng, g.edge_count))
             for u in range(g.node_count):
                 for v in range(g.node_count):
                     if u != v:
-                        ng.validate_path_vector(g, xr.path_vector(g, w, u, v), u, v)
+                        ng.validate_path_vector(g, P[pair_index(g.node_count, u, v)], u, v)
 
 
 class TestRoutingMatrix:
@@ -138,8 +135,8 @@ class TestRoutingMatrix:
     def test_triangle_rows(self):
         g, w = triangle()
         P = xr.routing_matrix(g, w)
-        assert P[ng.pair_index(3, 0, 2)].tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
-        assert P[ng.pair_index(3, 0, 1)].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert P[pair_index(3, 0, 2)].tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+        assert P[pair_index(3, 0, 1)].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_star_routes_through_hub(self):
         # node 0 is the hub of a 4-leaf star
@@ -159,13 +156,12 @@ class TestRoutingMatrix:
         assert np.array_equal(P1, P2)
 
     def test_rows_match_path_vector(self):
+        # each row against the path walked back from a heap-Dijkstra tree
         rng = np.random.default_rng(13)
         g = random_graph(rng, 5, extra=2)
         w = dyadic_weights(rng, g.edge_count)
-        P = xr.routing_matrix(g, w)
-        pairs = ng.ordered_pairs(5)
-        for i, (u, v) in enumerate(pairs):
-            assert np.array_equal(P[i], xr.path_vector(g, w, int(u), int(v)))
+        expect = walked_routing_matrix(5, g.senders.tolist(), g.receivers.tolist(), w)
+        assert np.array_equal(xr.routing_matrix(g, w), expect)
 
 
 class TestSubpathProperty:
@@ -173,17 +169,16 @@ class TestSubpathProperty:
         rng = np.random.default_rng(21)
         for _ in range(10):
             g = random_graph(rng, 6, extra=3)
-            w = dyadic_weights(rng, g.edge_count)
+            P = xr.routing_matrix(g, dyadic_weights(rng, g.edge_count))
             for u in range(g.node_count):
-                _, pred = xr.shortest_path_tree(g, w, u)
                 for v in range(g.node_count):
                     if v == u:
                         continue
-                    edges = xr.path_edges(g, pred, u, v)
-                    # every intermediate node's chosen path is the prefix
-                    for cut in range(1, len(edges)):
-                        m = int(g.receivers[edges[cut - 1]])
-                        assert xr.path_edges(g, pred, u, m) == edges[:cut]
+                    row = P[pair_index(g.node_count, u, v)]
+                    # the chosen path to a node m on this path uses only
+                    # this path's links, so it is this path's prefix
+                    for m in g.receivers[row == 1.0].tolist():
+                        assert np.all(P[pair_index(g.node_count, u, m)] <= row)
 
 
 class TestLinkLoads:
@@ -201,17 +196,14 @@ class TestLinkLoads:
         g = random_graph(rng, 6, extra=3)
         w = dyadic_weights(rng, g.edge_count)
         d = rng.integers(0, 1024, g.pair_count).astype(np.float64) / 1024.0
-        paths = [
-            np.flatnonzero(xr.path_vector(g, w, int(u), int(v)))
-            for u, v in ng.ordered_pairs(g.node_count)
-        ]
-        expect = accumulate_loads(g.edge_count, paths, d)
+        P = walked_routing_matrix(g.node_count, g.senders.tolist(), g.receivers.tolist(), w)
+        expect = accumulate_loads(g.edge_count, [np.flatnonzero(row) for row in P], d)
         assert np.array_equal(xr.link_loads(g, w, d), expect)
 
     def test_exact_max_utilization(self):
         g, w = triangle()
         d = np.zeros(6)
-        d[ng.pair_index(3, 0, 2)] = 0.5
+        d[pair_index(3, 0, 2)] = 0.5
         assert xr.exact_max_utilization(g, w, d) == 0.5
 
 
@@ -220,8 +212,9 @@ def test_brute_force_optimality_on_small_graphs():
     for _ in range(25):
         g = random_graph(rng, int(rng.integers(3, 7)), extra=int(rng.integers(0, 4)))
         w = dyadic_weights(rng, g.edge_count)
-        for u, v in ng.ordered_pairs(g.node_count):
-            p = xr.path_vector(g, w, int(u), int(v))
+        P = xr.routing_matrix(g, w)
+        for u, v in ng.ordered_pairs(g.node_count).tolist():
+            p = P[pair_index(g.node_count, u, v)]
             brute = min_path_cost(g.node_count, g.senders.tolist(), g.receivers.tolist(), w, u, v)
             assert p @ w <= brute + 1e-12
 
@@ -292,7 +285,7 @@ class TestWeightCeiling:
         with pytest.raises(ng.GraphError):
             ng.validate_weights(g, w)
         with pytest.raises(ng.GraphError):
-            xr.path_vector(g, w, 4, 0)
+            xr.routing_matrix(g, w)
         with pytest.raises(ng.GraphError):
             xr.link_loads(g, w, np.ones(g.pair_count))
 
@@ -301,7 +294,7 @@ class TestWeightCeiling:
         w = ng.floor_weights(w)
         assert w.max() == ng.W_MAX
         d = np.ones(g.pair_count)
-        paths = [np.flatnonzero(xr.path_vector(g, w, int(u), int(v))) for u, v in ng.ordered_pairs(5)]
+        paths = [np.flatnonzero(row) for row in xr.routing_matrix(g, w)]
         loads = xr.link_loads(g, w, d)
         assert np.array_equal(loads, accumulate_loads(g.edge_count, paths, d))
         into_01 = (g.senders == 4) & np.isin(g.receivers, [0, 1])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from routegrad import exact_routing as xr
 from routegrad import netgraph as ng
+from routegrad import surrogate as sg
 
-from oracles import accumulate_loads, enumerate_simple_paths
+from oracles import accumulate_loads, enumerate_simple_paths, pair_index, walked_routing_matrix
 
 
 def triangle():
@@ -85,20 +87,22 @@ class TestPairEnumeration:
         assert pairs.tolist() == [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]
 
     def test_pair_index_consistent(self):
-        for n in (2, 3, 5):
+        for n in (1, 2, 3, 5, 50):
             pairs = ng.ordered_pairs(n)
-            for i, (u, v) in enumerate(pairs):
-                assert ng.pair_index(n, int(u), int(v)) == i
+            assert pairs.shape == (n * (n - 1), 2) and pairs.dtype == np.int64
+            for i, (u, v) in enumerate(pairs.tolist()):
+                assert pair_index(n, u, v) == i
 
+    # query_indicators is the one library entry point that takes an ordered pair
     def test_same_endpoints_rejected(self):
         with pytest.raises(ng.GraphError):
-            ng.pair_index(4, 2, 2)
+            sg.query_indicators(triangle(), [(2, 2)])
 
     @pytest.mark.parametrize("u, v", [(5, 0), (0, 7), (-1, 0), (0, -1), (3, 0), (0, 3)])
     def test_endpoint_outside_nodes_rejected(self, u, v):
-        # unchecked, (5, 0) read row 10 and (-1, 0) row -3 of a 6-row matrix
+        # unchecked, -1 would wrap to the last node and 5 index past it
         with pytest.raises(ng.GraphError):
-            ng.pair_index(3, u, v)
+            sg.query_indicators(triangle(), [(u, v)])
 
 
 class TestDefaultWeights:
@@ -124,46 +128,45 @@ class TestDefaultWeights:
 
 
 class TestUtilization:
+    """Exact link utilization, ``link_loads / capacities``, on hand-routed cases."""
+
+    # forward weights 1, 1, 3: the shortest 0->2 path is 0->1->2
+    WEIGHTS = np.array([1.0, 1.0, 3.0, 1.0, 1.0, 1.0])
+
     def test_zero_demand(self):
         g = triangle_directed()
-        P = np.zeros((6, 6))
-        rho = ng.utilization(g, P, np.zeros(6))
-        assert np.all(rho == 0.0)
+        assert np.all(xr.link_loads(g, self.WEIGHTS, np.zeros(6)) == 0.0)
+        assert xr.exact_max_utilization(g, self.WEIGHTS, np.zeros(6)) == 0.0
 
     def test_single_demand_routed_over_two_hops(self):
         g = triangle_directed()
-        # weights [1,1,3,...]: shortest 0->2 goes 0->1->2
-        P = np.zeros((6, 6))
-        P[ng.pair_index(3, 0, 2), [0, 1]] = 1.0
         d = np.zeros(6)
-        d[ng.pair_index(3, 0, 2)] = 0.5
-        rho = ng.utilization(g, P, d)
+        d[pair_index(3, 0, 2)] = 0.5
+        rho = xr.link_loads(g, self.WEIGHTS, d) / g.capacities
         assert rho.tolist() == [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]
+        assert xr.exact_max_utilization(g, self.WEIGHTS, d) == 0.5
 
     def test_two_demands_accumulate(self):
         g = triangle_directed()
-        P = np.zeros((6, 6))
-        P[ng.pair_index(3, 0, 2), [0, 1]] = 1.0
-        P[ng.pair_index(3, 0, 1), 0] = 1.0
         d = np.zeros(6)
-        d[ng.pair_index(3, 0, 2)] = 0.5
-        d[ng.pair_index(3, 0, 1)] = 0.3
-        rho = ng.utilization(g, P, d)
-        # oracle: per-path accumulation
-        paths = [np.flatnonzero(P[i]) for i in range(6)]
-        expect = accumulate_loads(6, paths, d) / g.capacities
+        d[pair_index(3, 0, 2)] = 0.5
+        d[pair_index(3, 0, 1)] = 0.3
+        rho = xr.link_loads(g, self.WEIGHTS, d) / g.capacities
+        # oracle: per-path accumulation along independently walked paths
+        P = walked_routing_matrix(3, g.senders.tolist(), g.receivers.tolist(), self.WEIGHTS)
+        expect = accumulate_loads(6, [np.flatnonzero(row) for row in P], d) / g.capacities
         assert rho.tolist() == expect.tolist()
         assert rho.tolist() == [0.8, 0.5, 0.0, 0.0, 0.0, 0.0]
 
     def test_linearity_in_demands(self):
         g = triangle()
         rng = np.random.default_rng(3)
-        P = (rng.random((6, 6)) < 0.4).astype(float)
+        w = rng.uniform(1.0, 20.0, 6)
         d1 = rng.random(6)
         d2 = rng.random(6)
         a, b = 0.7, 2.5
-        lhs = ng.utilization(g, P, a * d1 + b * d2)
-        rhs = a * ng.utilization(g, P, d1) + b * ng.utilization(g, P, d2)
+        lhs = xr.link_loads(g, w, a * d1 + b * d2)
+        rhs = a * xr.link_loads(g, w, d1) + b * xr.link_loads(g, w, d2)
         assert np.allclose(lhs, rhs, rtol=1e-12)
 
     def test_capacity_scaling(self):
@@ -171,17 +174,20 @@ class TestUtilization:
         caps = rng.uniform(1.0, 4.0, 3)
         g1 = ng.Graph(3, receivers=[1, 2, 0], senders=[0, 1, 2], capacities=caps)
         g2 = ng.Graph(3, receivers=[1, 2, 0], senders=[0, 1, 2], capacities=caps * 2.0)
-        P = np.zeros((6, 3))
-        P[ng.pair_index(3, 0, 1), 0] = 1.0
+        w = np.ones(3)
         d = rng.random(6)
-        assert np.allclose(ng.utilization(g2, P, d), ng.utilization(g1, P, d) / 2.0)
+        rho1 = xr.link_loads(g1, w, d) / g1.capacities
+        assert np.allclose(xr.link_loads(g2, w, d) / g2.capacities, rho1 / 2.0)
+        assert np.isclose(xr.exact_max_utilization(g2, w, d), rho1.max() / 2.0)
 
     def test_dimension_mismatch(self):
         g = triangle_directed()
         with pytest.raises(ng.DimensionMismatchError):
-            ng.utilization(g, np.zeros((5, 6)), np.zeros(6))
+            xr.link_loads(g, self.WEIGHTS[:5], np.zeros(6))
         with pytest.raises(ng.DimensionMismatchError):
-            ng.utilization(g, np.zeros((6, 6)), np.zeros(5))
+            xr.link_loads(g, self.WEIGHTS, np.zeros(5))
+        with pytest.raises(ng.DimensionMismatchError):
+            xr.exact_max_utilization(g, self.WEIGHTS, np.zeros(7))
 
 
 class TestPathVectorValidation:

@@ -9,7 +9,7 @@ from routegrad import diffcore as dc
 from routegrad import netgraph as ng
 from routegrad import surrogate as sg
 
-from oracles import central_difference, reference_forward
+from oracles import finite_difference_check, reference_forward
 
 
 @pytest.fixture
@@ -128,7 +128,7 @@ class TestParameterGradient:
                     total = dc.add(total, dc.binary_cross_entropy(s, labels))
                 return total
 
-            err = dc.finite_difference_check(loss, model.params[name])
+            err = finite_difference_check(loss, model.params[name])
             assert err < 1e-4, f"{name}: rel err {err}"
 
 
@@ -283,7 +283,7 @@ class TestPredictAllPairs:
         rng = np.random.default_rng(4)
         d = rng.uniform(0.0, 1.0, g.pair_count)
 
-        err = dc.finite_difference_check(lambda wt: soft_mlu(g, d, sg.predict_all_pairs(model, g, wt)), w)
+        err = finite_difference_check(lambda wt: soft_mlu(g, d, sg.predict_all_pairs(model, g, wt)), w)
         assert err < 1e-3
 
     def test_chunks_equal_one_forward(self, small_model, small_graph, monkeypatch):
@@ -319,7 +319,7 @@ class TestPredictAllPairs:
         g, w = small_graph
         d = np.random.default_rng(4).uniform(0.0, 1.0, g.pair_count)
         rows = force_chunks(monkeypatch, g, model, 3)
-        err = dc.finite_difference_check(lambda wt: soft_mlu(g, d, sg.predict_all_pairs(model, g, wt)), w)
+        err = finite_difference_check(lambda wt: soft_mlu(g, d, sg.predict_all_pairs(model, g, wt)), w)
         assert len(rows) >= 3 and len(set(rows)) > 1
         assert err < 1e-3
 
