@@ -4,8 +4,9 @@ Produces the ground truth consumed everywhere else: the all-pairs
 routing matrix, whose rows are the training labels, and a fast exact
 link-load evaluator used by the optimizers.  Both read one
 computation, :func:`_trees`, which finds the shortest-path trees of many
-sources at once with numpy min-plus rounds; its distances equal those of
-a heap-based Dijkstra run per source bit for bit.
+sources at once with numpy min-plus rounds, each one gather over a table
+of every node's in-links and one min; its distances equal those of a
+heap-based Dijkstra run per source bit for bit.
 
 Tie-breaking is part of the contract: among equal-cost alternatives the
 predecessor with the lowest sender node index wins, so identical inputs
@@ -30,46 +31,66 @@ def _trees(g: Graph, w: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np
     path costs from ``sources[i]`` and, per node, the final link of its
     chosen path (``-1`` at the source).
 
+    The in-link table ``link[D, n]``, D the largest in-degree, lists in
+    column v the links into v, the lowest sender in slot 0.  Shorter
+    columns are padded with a dummy link of sender 0 and weight inf.
+
     Distances come from Jacobi min-plus rounds: every round relaxes every
-    link from every source at once, ``D'[v] = min(D[v], min over in-links
-    k of fl(D[s_k] + w_k))``, starting from 0 at the source and inf
-    elsewhere, until a round changes nothing.  Heap-based Dijkstra ends
-    with ``dist[v] = fl(dist[p] + w_k)`` for the link k from p that last
-    lowered it, and with no link able to lower any node further.  By
-    induction over that tree's depth, round t has reached Dijkstra's value
-    at every node within t links of the source, and no round goes below
-    it, since rounding is monotone; so at most ``n - 1`` rounds end on
-    Dijkstra's distances exactly.  A round that changes nothing has
-    reached a fixed point, and every later round would repeat it, so
-    stopping there is exact.  ``validate_weights`` keeps every weight in
-    ``[W_MIN, W_MAX]``, which makes every path sum strictly increase
-    (``fl(d + w) > d``): the fixed point is then unique, and the chosen
-    predecessors form a tree whose sender is always strictly closer.
+    link from every source at once, ``D'[v] = min(D[v], min over slots j
+    of fl(D[s_jv] + w_jv))``, starting from 0 at the source and inf
+    elsewhere, until a round changes nothing.  A pad adds inf to a
+    distance that is never -inf, so it offers inf, which never lowers a
+    minimum.  Heap-based Dijkstra ends with ``dist[v] = fl(dist[p] +
+    w_k)`` for the link k from p that last lowered it, and with no link
+    able to lower any node further.  By induction over that tree's depth,
+    round t has reached Dijkstra's value at every node within t links of
+    the source, and no round goes below it, since rounding is monotone; so
+    at most ``n - 1`` rounds end on Dijkstra's distances exactly.  A round
+    that changes nothing has reached a fixed point, and every later round
+    would repeat it, so stopping there is exact.  ``validate_weights``
+    keeps every weight in ``[W_MIN, W_MAX]``, which makes every path sum
+    strictly increase (``fl(d + w) > d``): the fixed point is then unique,
+    and the chosen predecessors form a tree whose sender is always
+    strictly closer.
+
+    The predecessor of v is the link in the first slot of column v whose
+    offer equals ``dist[v]``; slots run in sender order, so that is the
+    lowest sender.  The graph is strongly connected, so every distance is
+    finite by then, and a pad's inf offer never equals one: the pad is
+    never chosen.
     """
     n, senders, receivers = g.node_count, g.senders, g.receivers
-    rows = np.arange(sources.size)
-    dist = np.full((sources.size, n), np.inf)
-    dist[rows, sources] = 0.0
+    # node-major: row v holds v's distance from every source, so a round
+    # gathers whole rows
+    cols = np.arange(sources.size)
+    dist = np.full((n, sources.size), np.inf)
+    dist[sources, cols] = 0.0
     if g.edge_count == 0:  # a single node
-        return dist, np.full((sources.size, n), -1, dtype=np.int64)
-    # links grouped by receiver, lowest sender first inside each group
+        return dist.T, np.full((sources.size, n), -1, dtype=np.int64)
+    # the in-link table; its pad is the dummy link ``edge_count``
     order = np.lexsort((senders, receivers))
-    starts = np.searchsorted(receivers[order], np.arange(n))
-    s_sorted, w_sorted = senders[order], w[order]
+    in_degree = np.bincount(receivers, minlength=n)
+    slot = np.arange(order.size) - np.repeat(np.cumsum(in_degree) - in_degree, in_degree)
+    link = np.full((in_degree.max(), n), g.edge_count)
+    link[slot, receivers[order]] = order
+    s_in = np.append(senders, 0)[link]
+    w_in = np.append(w, np.inf)[link][:, :, None]
     while True:
-        cand = dist[:, s_sorted] + w_sorted
-        new = np.minimum(dist, np.minimum.reduceat(cand, starts, axis=1))
+        cand = dist[s_in]  # [D, n, sources]
+        cand += w_in
+        new = np.minimum(dist, cand.min(axis=0))
         if np.array_equal(new, dist):
             break
         dist = new
     if np.isinf(dist).any():
         raise UnreachableError("nodes unreachable from a source; graph state is corrupt")
 
-    # Lowest-sender tie-break: the first link of each receiver's group that
-    # closes a shortest path.  ``cand`` was computed from the final ``dist``.
-    # No link closes one at the source (``cand >= W_MIN > 0``), so it gets -1.
-    hit = np.where(cand == dist[:, receivers[order]], np.arange(order.size), order.size)
-    return dist, np.append(order, -1)[np.minimum.reduceat(hit, starts, axis=1)]
+    # Lowest-sender tie-break: the first slot of each column that closes a
+    # shortest path.  ``cand`` was computed from the final ``dist``.  No
+    # link closes one at the source (``cand >= W_MIN > 0``), so it gets -1.
+    pred = link[np.argmax(cand == dist, axis=0), np.arange(n)[:, None]]
+    pred[sources, cols] = -1
+    return dist.T, pred.T
 
 
 def shortest_path_tree(g: Graph, weights: np.ndarray, src: int) -> tuple[np.ndarray, np.ndarray]:
@@ -78,7 +99,7 @@ def shortest_path_tree(g: Graph, weights: np.ndarray, src: int) -> tuple[np.ndar
     Args:
         g: Validated graph.
         weights: Positive weight per link.
-        src: Source node index.
+        src: Source node index, a Python or numpy integer (not a bool).
 
     Returns:
         ``(dist, pred_edge)``: exact path costs from ``src`` and, for every
@@ -87,6 +108,8 @@ def shortest_path_tree(g: Graph, weights: np.ndarray, src: int) -> tuple[np.ndar
         path, the one with the lowest sender index is chosen.
     """
     w = validate_weights(g, weights)
+    if not isinstance(src, (int, np.integer)) or isinstance(src, bool):
+        raise GraphError(f"source index {src!r} is not an integer")
     if not 0 <= src < g.node_count:
         raise GraphError(f"source index {src} out of range")
     dist, pred = _trees(g, w, np.array([src]))
@@ -122,31 +145,43 @@ def link_loads(g: Graph, weights: np.ndarray, demands: np.ndarray) -> np.ndarray
     sweep over nodes in descending distance (ties: the higher index
     first), all sources moving together one rank at a time; each node
     hands its carried traffic to its predecessor link and that link's
-    sender.  The per-source loads are then added up in source order, so
-    every sum runs in the order of a separate sweep per source.  Matches
-    ``demands @ routing_matrix`` up to summation order.
+    sender.  The flat indices of every rank's nodes, predecessor-link
+    slots and senders are computed before the sweep, so each rank is three
+    1-D gathers and scatters; the additions are those, and in the order,
+    of a separate sweep per source.  The per-source loads are then added
+    up in source order.  Matches ``demands @ routing_matrix`` up to
+    summation order.
     """
     w = validate_weights(g, weights)
     d = validate_demands(g, demands)
-    n = g.node_count
+    n, edges = g.node_count, g.edge_count
     dist, pred = _trees(g, w, np.arange(n))
-    rows = np.arange(n)
-    carry = np.zeros((n, n))
-    carry[~np.eye(n, dtype=bool)] = d  # the off-diagonal in row-major order is ordered_pairs'
-    # the source alone has distance 0, so it comes last and is never swept
-    rank = np.argsort(dist, axis=1, kind="stable")[:, ::-1]
-    per_source = np.zeros((n, g.edge_count))
-    for v in rank[:, :-1].T:
-        k = pred[rows, v]
-        c = carry[rows, v]
-        per_source[rows, k] = c
-        carry[rows, g.senders[k]] += c
-    loads = np.zeros(g.edge_count)
-    for row in per_source:  # in source order; np.sum may add pairwise
+    offset = np.arange(n)
+    carry = np.zeros(n * n)
+    carry[~np.eye(n, dtype=bool).ravel()] = d  # the off-diagonal in row-major order is ordered_pairs'
+    # flat indices of every sweep step, one row per rank: the node in
+    # ``carry``, its predecessor link's slot in ``per_source`` and that
+    # link's sender in ``carry``; the source alone has distance 0, so it
+    # comes last and is never swept
+    node = np.argsort(dist, axis=1, kind="stable")[:, :0:-1].T + offset * n
+    k = pred.ravel()[node]
+    slot = k + offset * edges
+    parent = g.senders[k] + offset * n
+    per_source = np.zeros(n * edges)
+    for v, s, p in zip(node, slot, parent):
+        c = carry[v]
+        per_source[s] = c
+        carry[p] += c
+    loads = np.zeros(edges)
+    for row in per_source.reshape(n, edges):  # in source order; np.sum may add pairwise
         loads += row
     return loads
 
 
 def exact_max_utilization(g: Graph, weights: np.ndarray, demands: np.ndarray) -> float:
-    """Maximum link utilization of the exact routing under ``weights``."""
-    return float((link_loads(g, weights, demands) / g.capacities).max())
+    """Maximum link utilization of the exact routing under ``weights``.
+
+    A graph with no links (a single node) carries nothing: 0.0.
+    """
+    loads = link_loads(g, weights, demands)
+    return float((loads / g.capacities).max()) if loads.size else 0.0

@@ -71,6 +71,18 @@ class TestShortestPathTree:
         assert dist[1] == 5.0
         assert pred[1] == 0
 
+    @pytest.mark.parametrize("src", [1.5, np.float64(2.0), True], ids=["float", "np_float64", "bool"])
+    def test_non_integer_source_rejected(self, src):
+        g, w = triangle()
+        with pytest.raises(ng.GraphError):
+            xr.shortest_path_tree(g, w, src)
+
+    def test_numpy_integer_source(self):
+        g, w = triangle()
+        dist, pred = xr.shortest_path_tree(g, w, np.int64(1))
+        expect_dist, expect_pred = xr.shortest_path_tree(g, w, 1)
+        assert np.array_equal(dist, expect_dist) and np.array_equal(pred, expect_pred)
+
     def test_costs_match_enumeration(self):
         rng = np.random.default_rng(42)
         for trial in range(30):
@@ -206,6 +218,11 @@ class TestLinkLoads:
         d[pair_index(3, 0, 2)] = 0.5
         assert xr.exact_max_utilization(g, w, d) == 0.5
 
+    def test_single_node_carries_nothing(self):
+        g = ng.Graph(1, receivers=[], senders=[], capacities=[])
+        assert xr.link_loads(g, np.zeros(0), np.zeros(0)).shape == (0,)
+        assert xr.exact_max_utilization(g, np.zeros(0), np.zeros(0)) == 0.0
+
 
 def test_brute_force_optimality_on_small_graphs():
     rng = np.random.default_rng(99)
@@ -244,6 +261,22 @@ WEIGHT_SETS = {
 }
 
 
+def assert_bitwise_equal_to_oracles(g, w, d):
+    """All-sources trees, loads and routing matrix against the heap-Dijkstra
+    oracles, bit for bit; returns the oracle's trees."""
+    n_nodes = g.node_count
+    graph = (n_nodes, g.senders.tolist(), g.receivers.tolist(), w)
+    trees = [heap_shortest_path_tree(*graph, u) for u in range(n_nodes)]
+    dist, pred = xr._trees(g, w, np.arange(n_nodes))
+    assert np.array_equal(dist, np.array([t[0] for t in trees]))
+    assert np.array_equal(pred, np.array([t[1] for t in trees]))
+    off_source = pred[~np.eye(n_nodes, dtype=bool)]
+    assert off_source.min() >= 0 and off_source.max() < g.edge_count  # never the pad link
+    assert np.array_equal(xr.link_loads(g, w, d), sweep_link_loads(*graph, d))
+    assert np.array_equal(xr.routing_matrix(g, w), walked_routing_matrix(*graph))
+    return trees
+
+
 @pytest.mark.parametrize("weights", sorted(WEIGHT_SETS))
 @pytest.mark.parametrize("n_nodes", [5, 12, 24, 50])
 def test_bitwise_equal_to_heap_dijkstra(n_nodes, weights):
@@ -252,16 +285,35 @@ def test_bitwise_equal_to_heap_dijkstra(n_nodes, weights):
         g = ring_with_chords(rng, n_nodes, chords=n_nodes * 4 // 5)
         w = WEIGHT_SETS[weights](rng, g)
         d = rng.uniform(0.0, 10.0, g.pair_count)
-        graph = (n_nodes, g.senders.tolist(), g.receivers.tolist(), w)
-        trees = [heap_shortest_path_tree(*graph, u) for u in range(n_nodes)]
-        dist, pred = xr._trees(g, w, np.arange(n_nodes))
-        assert np.array_equal(dist, np.array([t[0] for t in trees]))
-        assert np.array_equal(pred, np.array([t[1] for t in trees]))
+        trees = assert_bitwise_equal_to_oracles(g, w, d)
         for u in (0, n_nodes - 1):
             one_dist, one_pred = xr.shortest_path_tree(g, w, u)
             assert np.array_equal(one_dist, trees[u][0]) and np.array_equal(one_pred, trees[u][1])
-        assert np.array_equal(xr.link_loads(g, w, d), sweep_link_loads(*graph, d))
-        assert np.array_equal(xr.routing_matrix(g, w), walked_routing_matrix(*graph))
+
+
+def hub_ring(n_nodes):
+    """Undirected ring plus an undirected chord from hub 0 to every other node."""
+    links = [(i, (i + 1) % n_nodes, 1.0, False) for i in range(n_nodes)]
+    links += [(0, v, 2.5, False) for v in range(2, n_nodes - 1)]
+    return ng.build_graph(n_nodes, links)
+
+
+IN_DEGREE_EXTREMES = {
+    # hub in-degree n-1, every leaf 1: the table is n-1 slots deep, mostly pads
+    "star": lambda n: ng.build_graph(n, [(0, v, 1.0, False) for v in range(1, n)]),
+    # every in-degree 1: a table of one slot and no pads
+    "directed_ring": lambda n: ng.build_graph(n, [(v, (v + 1) % n, 1.0, True) for v in range(n)]),
+    # hub in-degree n-1, every other node 3 or 2
+    "hub_ring": hub_ring,
+}
+
+
+@pytest.mark.parametrize("weights", sorted(WEIGHT_SETS))
+@pytest.mark.parametrize("topology", sorted(IN_DEGREE_EXTREMES))
+def test_in_link_table_at_in_degree_extremes(topology, weights):
+    rng = np.random.default_rng(7)
+    g = IN_DEGREE_EXTREMES[topology](12)
+    assert_bitwise_equal_to_oracles(g, WEIGHT_SETS[weights](rng, g), rng.uniform(0.0, 10.0, g.pair_count))
 
 
 class TestWeightCeiling:
