@@ -14,7 +14,7 @@ boolean mask, sigmoid and exp their output, layer normalization the
 standardized values and the inverse deviations, a product or quotient
 an operand only when the other side needs its gradient, a dense layer
 its activations only when its weights need a gradient, and a row map
-(``map_rows``) its part tapes and their row offsets.  The fused
+(``map_rows``) its part tapes and their row ranges.  The fused
 MLP block (``mlp_ln``) keeps what its unfused chain would: the
 standardized values, the inverse deviations and a boolean ReLU mask,
 its inputs only when its first weights need a gradient, and its ReLU
@@ -25,7 +25,10 @@ about one f64 standardized block plus one boolean mask per processed
 latent element, not the whole forward graph.  The exceptions are inputs
 a formula needs (``log`` keeps its argument, ``div`` its divisor) and
 views: a ``reshape`` output shares its input's buffer, so it keeps it
-alive for as long as the caller holds it.
+alive for as long as the caller holds it.  The reverse pass drops each
+op, and with it what the op kept, once its backward has run, so what a
+tape retains is freed as the pass unwinds, and a tape gives one
+gradient.
 
 Also here: the temperature-weighted soft maximum, binary cross-entropy
 and the Adam update rule.
@@ -33,6 +36,7 @@ and the Adam update rule.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import os
 import threading
@@ -126,12 +130,16 @@ class Tape:
     the innermost active tape only).  A tape records on the one thread
     that entered it.  Its reverse pass runs on the thread that calls
     :meth:`gradient`, except that a :func:`map_rows` op pulls its part
-    tapes back on the pool.
+    tapes back on the pool.  The reverse pass drops each op as it runs
+    it, so a tape gives one gradient.
     """
 
     def __init__(self):
-        self._ops: list[tuple[int, object]] = []
+        # (output uids, backward): the backward takes one gradient, or
+        # None, per output
+        self._ops: list[tuple[tuple[int, ...], object]] = []
         self._seen: set[int] = set()
+        self._pulled = False
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -142,11 +150,11 @@ class Tape:
         assert popped is self
         return False
 
-    def _record(self, out: Tensor, grad_inputs: list[Tensor], backward) -> None:
-        self._ops.append((out._uid, backward))
-        self._seen.add(out._uid)
-        for t in grad_inputs:
-            self._seen.add(t._uid)
+    def _record(self, outs, grad_inputs: list[Tensor], backward) -> None:
+        uids = tuple(o._uid for o in outs)
+        self._ops.append((uids, backward))
+        self._seen.update(uids)
+        self._seen.update(t._uid for t in grad_inputs)
 
     def gradient(self, output: Tensor, inputs):
         """Gradients of a recorded scalar with respect to ``inputs``.
@@ -161,15 +169,20 @@ class Tape:
             not influence the output gets a zero gradient.
 
         Raises:
+            DiffcoreError: this tape has already been pulled back; it
+                freed what it recorded as it went.
             NotScalarOutputError: ``output`` is not size-1.
             InputNotOnTapeError: an input never appeared on this tape
                 (typically it was created without ``requires_grad``).
         """
+        if self._pulled:
+            raise DiffcoreError("this tape has already given its gradient; record on a new tape")
         single = isinstance(inputs, Tensor)
         wanted = [inputs] if single else list(inputs)
         if output.size != 1:
             raise NotScalarOutputError(f"output has shape {output.shape}; expected a scalar")
 
+        self._pulled = True
         grads = self._pullback({output._uid: np.ones_like(output.data)})
         results = []
         for t in wanted:
@@ -188,15 +201,22 @@ class Tape:
     def _pullback(self, seeds: dict) -> dict:
         """Replays the recorded ops in reverse from ``seeds``, uid -> gradient.
 
-        Returns the gradients no recorded op consumed: those of the
-        tensors this tape read but did not produce.
+        Each op is popped before it runs, so the arrays it saved are freed
+        as the pass unwinds.  Returns the gradients no recorded op
+        consumed: those of the tensors this tape read but did not produce.
         """
         grads = dict(seeds)
-        for uid, backward in reversed(self._ops):
-            if uid in grads:
-                # no local outlives the call, so an op's output gradient and
-                # the summands are freed before the next op runs
-                _add_gradients(grads, backward(grads.pop(uid)))
+        ops = self._ops
+        while ops:
+            uids, backward = ops.pop()
+            # no local holds an output gradient or the summands, so they
+            # are freed before the next op runs; a one-output op gets its
+            # gradient as the only reference, so it can free it sooner
+            if len(uids) == 1:
+                if uids[0] in grads:
+                    _add_gradients(grads, backward(grads.pop(uids[0])))
+            elif any(uid in grads for uid in uids):
+                _add_gradients(grads, backward(*[grads.pop(uid, None) for uid in uids]))
         return grads
 
 
@@ -212,7 +232,7 @@ def _finish(out_data, grad_inputs: list[Tensor], make_backward) -> Tensor:
     out = Tensor(out_data, requires_grad=bool(tracked))
     tape = _active_tape()
     if tape is not None and tracked:
-        tape._record(out, tracked, make_backward(out))
+        tape._record((out,), tracked, make_backward(out))
     return out
 
 
@@ -421,73 +441,108 @@ def reshape(a, shape) -> Tensor:
     return _finish(data, [a], backward)
 
 
-def _row_stack(outs: list) -> np.ndarray:
+def _row_stack(outs) -> np.ndarray:
     """``np.concatenate`` of the outputs' rows, which must agree past axis 0."""
-    if not outs or any(o.ndim == 0 or o.shape[1:] != outs[0].shape[1:] for o in outs):
+    if any(o.ndim == 0 or o.shape[1:] != outs[0].shape[1:] for o in outs):
         raise ShapeMismatchError(f"map_rows: part shapes {[o.shape for o in outs]}")
     return np.concatenate([o.data for o in outs], axis=0)
 
 
-def map_rows(fn, parts, wrt) -> Tensor:
+def _as_outputs(result) -> tuple:
+    """A part's result in :func:`map_rows` as a tuple of Tensors."""
+    return tuple(as_tensor(r) for r in result) if isinstance(result, tuple) else (as_tensor(result),)
+
+
+def map_rows(fn, parts, wrt):
     """Row concatenation of ``fn(p)`` over ``parts``, pulled back in parallel.
 
     Args:
-        fn: Maps one part to a Tensor of at least one axis; the outputs
-            must agree on every axis past the first.
+        fn: Maps one part to a Tensor of at least one axis, or to a tuple
+            of such Tensors of one length for every part; each output
+            must agree across the parts on every axis past the first.
         parts: Non-empty sequence of arguments for ``fn``; they are not
             differentiated.
         wrt: Every tracked tensor ``fn`` reads from outside its part.
 
+    Returns:
+        The row-stacked Tensor, or, when ``fn`` returns tuples, the tuple
+        of row-stacked Tensors, one per output.
+
     With no active tape, or when no ``wrt`` tensor requires a gradient,
     this is the concatenation and nothing more.  Otherwise each ``fn(p)``
-    runs on the calling thread under a tape of its own, and one op is
-    recorded on the active tape.  Its backward hands each part tape its
-    row slice of ``g``, pulls the parts back on a pool of
-    :data:`POOL_WORKERS` threads, and sums each ``wrt`` gradient over the
-    parts in reverse part order, the order one tape over every part would
-    add them in.  With one worker, or when the backward already runs on a
-    pool thread (a nested ``map_rows``), the parts are pulled back inline.
+    runs on the calling thread under a tape of its own, and one op with
+    every stacked output is recorded on the active tape.  Its backward
+    seeds each part tape with its row slices of all the output gradients,
+    pulls the parts back on a pool of :data:`POOL_WORKERS` threads, and
+    sums each ``wrt`` gradient over the parts in reverse part order, the
+    order one tape over every part would add them in.  With one worker,
+    or when the backward already runs on a pool thread (a nested
+    ``map_rows``), the parts are pulled back inline.
 
     Raises:
-        ShapeMismatchError: there are no parts, or their outputs do not
-            stack by rows.
+        ShapeMismatchError: there are no parts, their output counts
+            differ, or their outputs do not stack by rows.
         DiffcoreError: a part reads a tracked tensor that is not in
             ``wrt``, whose gradient would otherwise be dropped.
     """
     tape = _active_tape()
     tracked = [t for t in wrt if t.requires_grad]
-    if tape is None or not tracked:
-        outs = [as_tensor(fn(p)) for p in parts]
-        if tape is not None and any(o.requires_grad for o in outs):
-            raise DiffcoreError("map_rows: a part reads a tracked tensor that is not in wrt")
-        return Tensor(_row_stack(outs))
+    taping = tape is not None and bool(tracked)
     wanted = {t._uid for t in tracked}
-    outs, tapes = [], []
+    results, tapes, read = [], [], set()
     for p in parts:
+        if not taping:
+            results.append(fn(p))
+            continue
         with Tape() as part_tape:
-            outs.append(as_tensor(fn(p)))
-        if part_tape._seen - {uid for uid, _ in part_tape._ops} - wanted:
+            results.append(fn(p))
+        # the tensors the part read but did not produce
+        foreign = part_tape._seen.difference(*(uids for uids, _ in part_tape._ops))
+        if foreign - wanted:
             raise DiffcoreError("map_rows: a part reads a tracked tensor that is not in wrt")
+        read |= foreign
         tapes.append(part_tape)
-    data = _row_stack(outs)
-    offsets = [0, *itertools.accumulate(o.shape[0] for o in outs)]
-
-    def backward(out):
+    outs = [_as_outputs(r) for r in results]
+    if not outs or any(len(o) != len(outs[0]) for o in outs):
+        raise ShapeMismatchError(f"map_rows: part output counts {[len(o) for o in outs]}")
+    columns = list(zip(*outs))
+    if tape is not None and not taping and any(o.requires_grad for o in itertools.chain(*outs)):
+        raise DiffcoreError("map_rows: a part reads a tracked tensor that is not in wrt")
+    stacked = tuple(
+        Tensor(_row_stack(column), requires_grad=taping and any(o.requires_grad for o in column))
+        for column in columns
+    )
+    if any(o.requires_grad for o in stacked):
+        offsets = [[0, *itertools.accumulate(o.shape[0] for o in column)] for column in columns]
+        # per part, in reverse: its tape and, per output of the part that
+        # is tracked, the output's index, uid and row range
         slots = [
-            (part_tape, o._uid, lo, hi)
-            for part_tape, o, lo, hi in zip(tapes, outs, offsets[:-1], offsets[1:])
-            if o.requires_grad
-        ][::-1]
+            (
+                part_tape,
+                [
+                    (j, column[k]._uid, offsets[j][k], offsets[j][k + 1])
+                    for j, column in enumerate(columns)
+                    if column[k].requires_grad
+                ],
+            )
+            for k, part_tape in reversed(list(enumerate(tapes)))
+        ]
 
-        def run(g):
+        def backward(*gs):
+            jobs = []
+            for part_tape, seeds in slots:
+                part_seeds: dict[int, np.ndarray] = {}
+                _add_gradients(part_seeds, [(u, gs[j][lo:hi]) for j, u, lo, hi in seeds if gs[j] is not None])
+                if part_seeds:
+                    jobs.append((part_tape, part_seeds))
             totals: dict[int, np.ndarray] = {}
-            for grads in _pull_back_parts([(t, {uo: g[lo:hi]}) for t, uo, lo, hi in slots]):
-                _add_gradients(totals, [(u, grads[u]) for u in wanted if u in grads])
+            for grads in _pull_back_parts(jobs):
+                _add_gradients(totals, [(u, grads[u]) for u in read if u in grads])
+                del grads
             return list(totals.items())
 
-        return run
-
-    return _finish(data, tracked, backward)
+        tape._record(stacked, [t for t in tracked if t._uid in read], backward)
+    return stacked if isinstance(results[0], tuple) else stacked[0]
 
 
 # Threads that pull map_rows parts back: one per CPU this process may run
@@ -508,7 +563,12 @@ def _mark_pool_thread() -> None:
 def _pull_back_parts(jobs):
     """Yields ``tape._pullback(seeds)`` for each ``(tape, seeds)`` job, in order.
 
-    The jobs go to the pool in order, unless there is one worker or the
+    The jobs go to the pool in order, at most ``POOL_WORKERS + 1`` of
+    them submitted and not yet yielded at a time: each finished part
+    holds a gradient for every ``wrt`` tensor it read, and the one job
+    beyond the workers is there for a worker that finishes before the
+    part ahead of it, which would otherwise wait idle until that part is
+    yielded.  The jobs run inline instead when there is one worker or the
     caller is itself a pool thread: a pool thread that waited on the pool
     could leave no worker free to run what it waits for.
     """
@@ -524,10 +584,17 @@ def _pull_back_parts(jobs):
             _pool = ThreadPoolExecutor(
                 POOL_WORKERS, thread_name_prefix="diffcore-pullback", initializer=_mark_pool_thread
             )
-    futures = [_pool.submit(part_tape._pullback, seeds) for part_tape, seeds in jobs]
+    pending = iter(jobs)
+    futures = collections.deque(
+        _pool.submit(part_tape._pullback, seeds) for part_tape, seeds in itertools.islice(pending, POOL_WORKERS + 1)
+    )
     try:
-        for f in futures:
-            yield f.result()
+        while futures:
+            grads = futures.popleft().result()
+            for part_tape, seeds in itertools.islice(pending, 1):
+                futures.append(_pool.submit(part_tape._pullback, seeds))
+            yield grads
+            del grads
     finally:
         # on an error, no part is left running once it reaches the caller
         for f in futures:

@@ -148,9 +148,11 @@ def link_loads(g: Graph, weights: np.ndarray, demands: np.ndarray) -> np.ndarray
     sender.  The flat indices of every rank's nodes, predecessor-link
     slots and senders are computed before the sweep, so each rank is three
     1-D gathers and scatters; the additions are those, and in the order,
-    of a separate sweep per source.  The per-source loads are then added
-    up in source order.  Matches ``demands @ routing_matrix`` up to
-    summation order.
+    of a separate sweep per source.  The per-source loads are then summed
+    over the sources' axis, which numpy adds row by row in source order
+    for this C-contiguous block; ``test_bitwise_equal_to_heap_dijkstra``
+    pins that order against a source-by-source sweep.  Matches ``demands
+    @ routing_matrix`` up to summation order.
     """
     w = validate_weights(g, weights)
     d = validate_demands(g, demands)
@@ -172,10 +174,7 @@ def link_loads(g: Graph, weights: np.ndarray, demands: np.ndarray) -> np.ndarray
         c = carry[v]
         per_source[s] = c
         carry[p] += c
-    loads = np.zeros(edges)
-    for row in per_source.reshape(n, edges):  # in source order; np.sum may add pairwise
-        loads += row
-    return loads
+    return per_source.reshape(n, edges).sum(axis=0)
 
 
 def exact_max_utilization(g: Graph, weights: np.ndarray, demands: np.ndarray) -> float:

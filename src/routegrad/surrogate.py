@@ -3,14 +3,15 @@
 Given a graph, its link weights, and a batch of (source, destination)
 queries, the network outputs for each query a per-link probability of
 lying on the weighted shortest path.  :func:`forward` is the one batched
-evaluation; :func:`predict_all_pairs` runs it over every ordered node
-pair, which yields a soft routing matrix that is differentiable with
-respect to the link weights, the matrix the weight optimizer descends
-through.  It walks the pairs in query chunks sized so that the latent
-blocks in flight stay cache-resident (:data:`QUERY_BLOCK_BYTES`).  The
-forward runs the chunks one after another on the calling thread; on a
-tape, each chunk records on a tape of its own, and the reverse pass pulls
-the chunks back on :data:`diffcore.POOL_WORKERS` threads at once.
+evaluation, for training, grading and descent alike;
+:func:`predict_all_pairs` runs it over every ordered node pair, which
+yields a soft routing matrix that is differentiable with respect to the
+link weights, the matrix the weight optimizer descends through.
+:func:`forward` walks its queries in chunks sized so that the latent
+blocks in flight stay cache-resident (:data:`QUERY_BLOCK_BYTES`).  It
+runs the chunks one after another on the calling thread; on a tape, each
+chunk records on a tape of its own, and the reverse pass pulls the
+chunks back on :data:`diffcore.POOL_WORKERS` threads at once.
 
 Architecture: node features ``[I(u=i), I(v=i)]`` and edge features
 ``[w_k]`` are encoded independently by 2-layer MLPs, each followed by
@@ -46,8 +47,8 @@ CHECKPOINT_FORMAT = "routegrad-gnn"
 CHECKPOINT_VERSION = 2
 NODE_FEATURES = 2
 EDGE_FEATURES = 1
-# Largest sum of the ``[chunk, n_e, hidden]`` latent blocks predict_all_pairs
-# has in flight at once.  Its backward pulls diffcore.POOL_WORKERS chunks
+# Largest sum of the ``[chunk, n_e, hidden]`` latent blocks forward has in
+# flight at once.  Its backward pulls diffcore.POOL_WORKERS chunks
 # back in parallel, so a chunk's block is at most this // POOL_WORKERS.
 # Each op streams blocks of that size; at 1 MiB in all they stay resident
 # in a 2 MiB L2 cache between the element-wise passes instead of going out
@@ -195,7 +196,7 @@ def forward(
     per_step: bool = False,
     model_tensors=None,
 ):
-    """Batched surrogate evaluation.
+    """Batched surrogate evaluation, in query chunks.
 
     Args:
         g: Graph whose links are being classified.
@@ -214,6 +215,16 @@ def forward(
         ``(final, steps)``: final-round edge probabilities ``[n_q, n_e]``
         and, when ``per_step``, the list of all per-round outputs.
 
+    The edge encoder reads the weights alone, so it runs once, and the
+    queries are split into near-equal chunks whose ``[chunk, n_e, hidden]``
+    latent block is at most ``QUERY_BLOCK_BYTES // diffcore.POOL_WORKERS``.
+    The chunk count is rounded up to a multiple of the pool's workers,
+    so that they share the pullbacks evenly, but never past one chunk
+    per query.  :func:`diffcore.map_rows` joins the chunks: their
+    forwards run in turn on the calling thread, and on a tape they are
+    pulled back in parallel.  Queries do not interact, so each row is the
+    one a single batch of every query gives.
+
     Raises:
         GraphError: ``weights`` is not ``[n_e]`` or has a value outside
             ``[W_MIN, W_MAX]`` (NaN included; see
@@ -223,18 +234,33 @@ def forward(
     mt = model_tensors if model_tensors is not None else model.tensors()
     w = dc.as_tensor(weights)
     validate_weights(g, w.data)
-    w_col = dc.reshape(w, (1, g.edge_count, 1))
     ind = np.ascontiguousarray(indicators, dtype=np.float64)
     if ind.ndim != 3 or ind.shape[1:] != (g.node_count, NODE_FEATURES):
         raise GraphError(f"indicators shape {ind.shape}, expected (n_q, {g.node_count}, {NODE_FEATURES})")
     if not np.all(np.isfinite(ind)):
         raise GraphError("indicators contain NaN or infinity")
-    ind = dc.Tensor(ind)
 
-    nodes = _mlp_ln([(ind, None)], mt, "enc_node")
-    edges = _mlp_ln([(w_col, None)], mt, "enc_edge")
-    steps: list[dc.Tensor] = []
-    final = None
+    edges = _mlp_ln([(dc.reshape(w, (1, g.edge_count, 1)), None)], mt, "enc_edge")
+    workers = dc.POOL_WORKERS
+    block = g.edge_count * model.config.hidden * ind.itemsize
+    cap = max(1, QUERY_BLOCK_BYTES // workers // max(1, block))
+    chunks = -(-len(ind) // cap)
+    chunks = max(1, min(len(ind), -(-chunks // workers) * workers))
+    outs = dc.map_rows(
+        lambda rows: _forward_chunk(g, edges, rows, model, mt, per_step),
+        np.array_split(ind, chunks),
+        [edges, *mt.values()],
+    )
+    return outs[-1], (list(outs) if per_step else [])
+
+
+def _forward_chunk(g: Graph, edges, indicators: np.ndarray, model: GnnModel, mt, per_step: bool) -> tuple:
+    """The decoder outputs of one query chunk, every round's when ``per_step``.
+
+    ``edges`` is the encoded ``[1, n_e, H]`` link block all chunks share.
+    """
+    nodes = _mlp_ln([(dc.Tensor(indicators), None)], mt, "enc_node")
+    outs = []
     rounds = model.config.rounds
     for t in range(rounds):
         last = t == rounds - 1
@@ -250,37 +276,18 @@ def forward(
                 f"{prefix}_node",
             )
         if per_step or last:
-            out = _decode(edges, mt)
-            if per_step:
-                steps.append(out)
-            if last:
-                final = out
-    return final, steps
+            outs.append(_decode(edges, mt))
+    return tuple(outs)
 
 
 def predict_all_pairs(model: GnnModel, g: Graph, weights) -> dc.Tensor:
     """Soft routing matrix: one probability row per ordered pair.
 
     Row i corresponds to ``ordered_pairs(n)[i]``; differentiable with
-    respect to ``weights``.  The pairs are evaluated in near-equal query
-    chunks whose ``[chunk, n_e, hidden]`` latent block is at most
-    ``QUERY_BLOCK_BYTES // diffcore.POOL_WORKERS``, one :func:`forward`
-    per chunk with shared parameter tensors, joined by
-    :func:`diffcore.map_rows`: the forwards run in turn on the calling
-    thread, and on a tape the chunks are pulled back in parallel.
-    Queries do not interact, so each row is the one a single batched
-    forward gives.
+    respect to ``weights``.  This is one :func:`forward` over every pair,
+    so it is evaluated in that function's query chunks.
     """
-    ind = query_indicators(g, ordered_pairs(g.node_count))
-    block = g.edge_count * model.config.hidden * ind.itemsize
-    chunk = max(1, QUERY_BLOCK_BYTES // dc.POOL_WORKERS // max(1, block))
-    mt = model.tensors()
-    w = dc.as_tensor(weights)
-    return dc.map_rows(
-        lambda rows: forward(g, w, rows, model, model_tensors=mt)[0],
-        np.array_split(ind, max(1, -(-len(ind) // chunk))),
-        [w],
-    )
+    return forward(g, weights, query_indicators(g, ordered_pairs(g.node_count)), model)[0]
 
 
 # ---------------------------------------------------------------------------

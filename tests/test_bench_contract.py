@@ -83,16 +83,20 @@ def test_traced_train_step_runs_and_restores_originals():
 def test_traced_descent_step_runs():
     # the tracer keeps one stack of open spans, so every traced call must
     # run on the calling thread: the chunk forwards do, and only their
-    # untraced pullbacks run on the pool
+    # untraced pullbacks run on the pool.  The decoder's one sigmoid per
+    # chunk counts the chunks.
     work = workloads.DescentN24(1)
     with spans.installed(spans.Tracer()) as tracer:
         assert work.step() == work.g.pair_count
     assert tracer._open == [] and all(span[2] > 0.0 for span in tracer.spans)
     totals = tracer.totals()
+    workers = diffcore.POOL_WORKERS
     block = work.g.edge_count * work.model.config.hidden * 8
-    chunk = surrogate.QUERY_BLOCK_BYTES // diffcore.POOL_WORKERS // block
+    chunks = -(-work.g.pair_count // (surrogate.QUERY_BLOCK_BYTES // workers // block))
+    chunks = min(work.g.pair_count, -(-chunks // workers) * workers)
     assert totals["diffcore.tape_gradient"][0] == 1
-    assert totals["surrogate.forward"][0] == -(-work.g.pair_count // chunk)
+    assert totals["surrogate.forward"][0] == 1
+    assert totals["diffcore.sigmoid"][0] == chunks
 
 
 def test_traced_search_step_evaluates_once():

@@ -166,24 +166,70 @@ class TestMapRows:
                 with pytest.raises(dc.ShapeMismatchError):
                     dc.map_rows(lambda p: dc.mul(p, 1.0), parts, wrt)
 
+    def test_several_outputs_stack_output_by_output(self):
+        a, b = np.arange(6.0).reshape(3, 2), -np.ones((1, 2))
+        y, z = dc.map_rows(lambda p: (dc.Tensor(p), dc.Tensor(p[:1] * 2.0)), [a, b], [])
+        assert np.array_equal(y.data, np.concatenate([a, b]))
+        assert np.array_equal(z.data, np.concatenate([a[:1], b[:1]]) * 2.0)
+        (alone,) = dc.map_rows(lambda p: (dc.Tensor(p),), [a, b], [])
+        assert np.array_equal(alone.data, y.data)
+        with pytest.raises(dc.ShapeMismatchError, match="output counts"):
+            dc.map_rows(lambda p: (dc.Tensor(p),) * len(p), [a, b], [])
+
     @staticmethod
-    def _gradient(w0, x0, rows):
+    def _several_outputs(x, r, w):
+        """Three outputs of one part: two of its rows differ, and the first
+        is also the third, so two slices seed one part output."""
+        y = _part_term(x, r, w)
+        return y, dc.sigmoid(dc.affine(dc.index_rows(x, r[:1]), w)), y
+
+    @staticmethod
+    def _gradient(w0, x0, rows, fn=_part_term):
         w = dc.Tensor(w0, requires_grad=True)
         x = dc.Tensor(x0, requires_grad=True)
         with dc.Tape() as tape:
-            y = dc.map_rows(lambda r: _part_term(x, r, w), rows, [w, x])
-            total = dc.tensor_sum(dc.mul(y, np.cos(np.arange(y.size)).reshape(y.shape)))
+            ys = dc.map_rows(lambda r: fn(x, r, w), rows, [w, x])
+            total = 0.0
+            for k, y in enumerate(ys if isinstance(ys, tuple) else [ys]):
+                weights = np.cos(np.arange(y.size) + k).reshape(y.shape)
+                total = dc.add(total, dc.tensor_sum(dc.mul(y, weights)))
         return tape.gradient(total, [w, x])
+
+    def test_several_outputs_gradient_matches_fd(self):
+        rng = np.random.default_rng(9)
+        w0, x0 = rng.normal(size=(6, 4)), rng.normal(size=(5, 4))
+        rows = [rng.integers(0, 5, k) for k in (3, 1, 4)]
+        grads = self._gradient(w0, x0, rows, self._several_outputs)
+
+        def total(w, x):
+            ys = [self._several_outputs(dc.Tensor(x), r, dc.Tensor(w)) for r in rows]
+            out = 0.0
+            for k in range(3):
+                y = np.concatenate([part[k].data for part in ys])
+                out += float(np.sum(y * np.cos(np.arange(y.size) + k).reshape(y.shape)))
+            return out
+
+        for grad, fd in zip(
+            grads,
+            [central_difference(lambda w: total(w, x0), w0, 1e-6), central_difference(lambda x: total(w0, x), x0, 1e-6)],
+        ):
+            assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(fd))
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_pool_pullback_bitwise_equals_inline(self, monkeypatch, workers):
+        self._assert_pool_equals_inline(monkeypatch, workers, _part_term)
+
+    def test_several_outputs_pool_pullback_bitwise_equals_inline(self, monkeypatch):
+        self._assert_pool_equals_inline(monkeypatch, 4, self._several_outputs)
+
+    def _assert_pool_equals_inline(self, monkeypatch, workers, fn):
         # 4 workers outnumber the cores of a 2-CPU host, and a short switch
         # interval interleaves the part pullbacks as finely as it can
         rng = np.random.default_rng(7)
         w0, x0 = rng.normal(size=(6, 4)), rng.normal(size=(5, 4))
         rows = [rng.integers(0, 5, k) for k in (3, 1, 4, 2, 5, 3)]
         monkeypatch.setattr(dc, "POOL_WORKERS", 1)
-        inline = self._gradient(w0, x0, rows)
+        inline = self._gradient(w0, x0, rows, fn)
 
         threads, pullback = [], dc.Tape._pullback
 
@@ -197,7 +243,7 @@ class TestMapRows:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pooled = self._gradient(w0, x0, rows)
+            pooled = self._gradient(w0, x0, rows, fn)
         finally:
             sys.setswitchinterval(interval)
             if dc._pool is not None:
@@ -597,6 +643,16 @@ class TestTapeMechanics:
         x = dc.Tensor(np.ones(3), requires_grad=True)
         y = dc.tensor_sum(dc.mul(x, x))
         assert float(y.data) == 3.0
+
+    def test_second_gradient_raises(self):
+        # the first reverse pass drops every op once it has run
+        x = dc.Tensor(np.ones(3), requires_grad=True)
+        with dc.Tape() as tape:
+            y = dc.tensor_sum(dc.mul(x, x))
+        assert np.array_equal(tape.gradient(y, x), np.full(3, 2.0))
+        assert tape._ops == []
+        with pytest.raises(dc.DiffcoreError, match="already"):
+            tape.gradient(y, x)
 
     def test_gradient_of_output_wrt_itself(self):
         x = dc.Tensor(np.array(4.0), requires_grad=True)

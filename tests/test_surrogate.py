@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from routegrad import diffcore as dc
+from routegrad import exact_routing as er
 from routegrad import netgraph as ng
 from routegrad import surrogate as sg
 
@@ -242,20 +244,62 @@ def chorded_ring():
 
 
 def force_chunks(monkeypatch, g, model, queries):
-    """Shrinks the latent blocks so predict_all_pairs walks chunks of at
-    most ``queries`` pairs, one such block per pullback worker, and returns
-    the list the row count of every ``forward`` call it makes is appended
-    to."""
+    """Shrinks the latent blocks so forward walks chunks of at most
+    ``queries`` queries, one such block per pullback worker, and returns
+    the list the row count of every chunk body call is appended to."""
     block = queries * g.edge_count * model.config.hidden * 8
     monkeypatch.setattr(sg, "QUERY_BLOCK_BYTES", block * dc.POOL_WORKERS)
-    rows, forward = [], sg.forward
+    rows, body = [], sg._forward_chunk
 
-    def counted(g, weights, indicators, *args, **kwargs):
+    def counted(g, edges, indicators, *args):
         rows.append(len(indicators))
-        return forward(g, weights, indicators, *args, **kwargs)
+        return body(g, edges, indicators, *args)
 
-    monkeypatch.setattr(sg, "forward", counted)
+    monkeypatch.setattr(sg, "_forward_chunk", counted)
     return rows
+
+
+@contextlib.contextmanager
+def one_chunk():
+    """Every forward in the block, and its pullback, runs as one chunk."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dc, "POOL_WORKERS", 1)
+        m.setattr(sg, "QUERY_BLOCK_BYTES", 2**62)
+        yield
+
+
+@contextlib.contextmanager
+def two_workers():
+    """A pool of exactly two pullback threads, whatever the host's CPU
+    count, started before the block and shut down after it."""
+    pool = ThreadPoolExecutor(2, initializer=dc._mark_pool_thread)
+    try:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dc, "POOL_WORKERS", 2)
+            m.setattr(dc, "_pool", pool)
+            yield
+    finally:
+        pool.shutdown()
+
+
+def training_batch(g, rng):
+    """Random weights, and 32 distinct queries with their Dijkstra labels."""
+    w = rng.uniform(0.5, 2.0, g.edge_count)
+    rows = rng.choice(g.pair_count, 32, replace=False)
+    ind = sg.query_indicators(g, ng.ordered_pairs(g.node_count)[rows])
+    return w, ind, er.routing_matrix(g, w)[rows]
+
+
+def training_gradient(g, w, ind, labels, model):
+    """Per-round outputs, loss and every parameter gradient of a training step."""
+    mt = model.tensors(requires_grad=True)
+    with dc.Tape() as tape:
+        _, steps = sg.forward(g, w, ind, model, per_step=True, model_tensors=mt)
+        loss = dc.binary_cross_entropy(steps[0], labels)
+        for s in steps[1:]:
+            loss = dc.add(loss, dc.binary_cross_entropy(s, labels))
+        grads = tape.gradient(loss, list(mt.values()))
+    return [s.data for s in steps], loss.item(), grads
 
 
 class TestPredictAllPairs:
@@ -289,7 +333,8 @@ class TestPredictAllPairs:
     def test_chunks_equal_one_forward(self, small_model, small_graph, monkeypatch):
         # every row is computed as one batched forward computes it
         g, w = small_graph
-        one = sg.forward(g, w, sg.query_indicators(g, ng.ordered_pairs(g.node_count)), small_model)[0]
+        with one_chunk():
+            one = sg.forward(g, w, sg.query_indicators(g, ng.ordered_pairs(g.node_count)), small_model)[0]
         rows = force_chunks(monkeypatch, g, small_model, 3)
         P = sg.predict_all_pairs(small_model, g, w)
         assert len(rows) >= 3 and len(set(rows)) > 1 and sum(rows) == g.pair_count
@@ -301,16 +346,16 @@ class TestPredictAllPairs:
         model = offset_model(sg.GnnConfig(hidden=6, rounds=2), seed=3)
         g, w = small_graph
         d = np.random.default_rng(4).uniform(0.0, 1.0, g.pair_count)
-        ind = sg.query_indicators(g, ng.ordered_pairs(g.node_count))
 
-        def gradient(predict):
+        def gradient():
             wt = dc.Tensor(w, requires_grad=True)
             with dc.Tape() as tape:
-                return tape.gradient(soft_mlu(g, d, predict(wt)), wt)
+                return tape.gradient(soft_mlu(g, d, sg.predict_all_pairs(model, g, wt)), wt)
 
-        one = gradient(lambda wt: sg.forward(g, wt, ind, model)[0])
+        with one_chunk():
+            one = gradient()
         rows = force_chunks(monkeypatch, g, model, 3)
-        chunked = gradient(lambda wt: sg.predict_all_pairs(model, g, wt))
+        chunked = gradient()
         assert len(rows) >= 3 and len(set(rows)) > 1
         assert np.max(np.abs(chunked - one)) <= 1e-9 * np.max(np.abs(one))
 
@@ -333,28 +378,56 @@ class TestPredictAllPairs:
         model = sg.GnnModel.initialize(config, seed=1)
         w = dc.Tensor(np.random.default_rng(6).uniform(0.5, 2.0, g.edge_count), requires_grad=True)
         chunk = 8
-        # a pool of exactly two threads, whatever the host's CPU count,
-        # started before the measurement
-        pool = ThreadPoolExecutor(2, initializer=dc._mark_pool_thread)
-        monkeypatch.setattr(dc, "POOL_WORKERS", 2)
-        monkeypatch.setattr(dc, "_pool", pool)
-        rows = force_chunks(monkeypatch, g, model, chunk // 2)
         bound = 8 * chunk * g.edge_count * config.hidden * 8
 
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            with dc.Tape() as tape:
-                P = sg.predict_all_pairs(model, g, w)
-                objective = dc.soft_maximum(dc.tensor_sum(P, axis=0), 1.0)
-                retained = tracemalloc.get_traced_memory()[0] - start
-                tape.gradient(objective, w)
-            transient = tracemalloc.get_traced_memory()[1] - start - retained
-        finally:
-            tracemalloc.stop()
-            pool.shutdown()
+        with two_workers():
+            rows = force_chunks(monkeypatch, g, model, chunk // 2)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                with dc.Tape() as tape:
+                    P = sg.predict_all_pairs(model, g, w)
+                    objective = dc.soft_maximum(dc.tensor_sum(P, axis=0), 1.0)
+                    retained = tracemalloc.get_traced_memory()[0] - start
+                    tape.gradient(objective, w)
+                transient = tracemalloc.get_traced_memory()[1] - start - retained
+            finally:
+                tracemalloc.stop()
         assert transient <= bound, f"transient peak is {transient / bound:.2f} of the bound"
         assert len(rows) >= 3 and max(rows) == chunk // 2
+
+    def test_train_step_frees_its_tape_as_it_unwinds(self, monkeypatch):
+        # each op drops what it saved once its backward has run, so beyond
+        # what the forward retained, the backward of a training step on
+        # two workers holds the parameter gradients in flight and a few
+        # latent blocks; a tape that kept every op to the end peaks at
+        # about 4.3 parameter sets here
+        g = chorded_ring()
+        config = sg.GnnConfig(hidden=32, rounds=3)
+        model = sg.GnnModel.initialize(config, seed=1)
+        w, ind, labels = training_batch(g, np.random.default_rng(6))
+        chunk = 4
+        params = sum(a.nbytes for a in model.params.values())
+        bound = 2 * params + 8 * chunk * g.edge_count * config.hidden * 8
+
+        with two_workers():
+            rows = force_chunks(monkeypatch, g, model, chunk)
+            mt = model.tensors(requires_grad=True)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                with dc.Tape() as tape:
+                    _, steps = sg.forward(g, w, ind, model, per_step=True, model_tensors=mt)
+                    loss = dc.binary_cross_entropy(steps[0], labels)
+                    for s in steps[1:]:
+                        loss = dc.add(loss, dc.binary_cross_entropy(s, labels))
+                    retained = tracemalloc.get_traced_memory()[0] - start
+                    tape.gradient(loss, list(mt.values()))
+                transient = tracemalloc.get_traced_memory()[1] - start - retained
+            finally:
+                tracemalloc.stop()
+        assert rows == [chunk] * 8
+        assert transient <= bound, f"transient peak is {transient / bound:.2f} of the bound"
 
     def test_tape_retains_only_normalized_states(self):
         # with fixed parameters, backward needs per processed latent element
@@ -380,19 +453,90 @@ class TestPredictAllPairs:
         assert retained <= bound, f"tape retains {retained / bound:.2f} of the bound"
 
 
+class TestForwardChunks:
+    @pytest.mark.parametrize(
+        "queries, workers, expected",
+        [
+            (32, 2, [8] * 4),  # 3 chunks of at most 12, rounded up to 4
+            (552, 2, [12] * 46),
+            (3, 2, [2, 1]),
+            (1, 2, [1]),
+            (32, 1, [11, 11, 10]),
+        ],
+    )
+    def test_chunk_count_rule(self, queries, workers, expected, monkeypatch):
+        # at most 12 queries a chunk, a chunk count that is a multiple of
+        # the workers and at most the query count, and near-equal chunks
+        g = chorded_ring()
+        model = sg.GnnModel.initialize(sg.GnnConfig(hidden=4, rounds=2), seed=1)
+        monkeypatch.setattr(dc, "POOL_WORKERS", workers)
+        rows = force_chunks(monkeypatch, g, model, 12)
+        pairs = ng.ordered_pairs(g.node_count)
+        ind = sg.query_indicators(g, pairs[np.arange(queries) % len(pairs)])
+        final, _ = sg.forward(g, np.ones(g.edge_count), ind, model)
+        assert rows == expected
+        assert final.shape == (queries, g.edge_count)
+
+    def test_per_step_parameter_gradients_equal_one_chunk(self, monkeypatch):
+        # a training step on two workers: every round's output is the one
+        # chunk's bit for bit, and the gradients, summed over chunks in
+        # another order, agree to 1e-9
+        g = chorded_ring()
+        model = offset_model(sg.GnnConfig(hidden=8, rounds=3), seed=2)
+        w, ind, labels = training_batch(g, np.random.default_rng(3))
+        with one_chunk():
+            one_steps, one_loss, one_grads = training_gradient(g, w, ind, labels, model)
+        with two_workers():
+            rows = force_chunks(monkeypatch, g, model, 3)
+            steps, loss, grads = training_gradient(g, w, ind, labels, model)
+        assert len(rows) == 12
+        assert len(steps) == len(one_steps) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(steps, one_steps))
+        assert loss == one_loss
+        for name, a, b in zip(model.params, grads, one_grads):
+            assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b)), name
+
+    def test_edge_encoder_runs_once_per_forward(self, monkeypatch):
+        # it reads the weights alone, so every chunk shares its one block
+        g = chorded_ring()
+        model = sg.GnnModel.initialize(sg.GnnConfig(hidden=6, rounds=2), seed=3)
+        first_layers, mlp_ln = [], dc.mlp_ln
+
+        def counted(terms, w1, *params):
+            first_layers.append(w1.data)
+            return mlp_ln(terms, w1, *params)
+
+        monkeypatch.setattr(dc, "mlp_ln", counted)
+        rows = force_chunks(monkeypatch, g, model, 3)
+        sg.predict_all_pairs(model, g, np.ones(g.edge_count))
+        assert len(rows) >= 3
+        assert sum(w1 is model.params["enc_edge_l1_w"] for w1 in first_layers) == 1
+        assert sum(w1 is model.params["enc_node_l1_w"] for w1 in first_layers) == len(rows)
+
+
 class TestTapeSize:
     @pytest.mark.parametrize("trained", [False, True], ids=["fixed", "trained"])
-    def test_forward_records_one_op_per_block(self, trained):
+    def test_forward_records_one_op_per_block(self, trained, monkeypatch):
         # each MLP block is one fused op: per round an edge block, its
-        # aggregation and a node block, plus the encoders and the decoder
+        # aggregation and a node block, plus the encoders, the decoder and
+        # the one op that joins the chunks, counted over the forward's
+        # tape and its chunk's
         g = chorded_ring()
         config = sg.GnnConfig(hidden=8, rounds=8)
         model = sg.GnnModel.initialize(config, seed=1)
         w = dc.Tensor(np.random.default_rng(6).uniform(0.5, 2.0, g.edge_count), requires_grad=True)
         ind = sg.query_indicators(g, [(0, 5), (3, 1)])
-        with dc.Tape() as tape:
+        records, record = [], dc.Tape._record
+
+        def counted(tape, *args):
+            records.append(tape)
+            return record(tape, *args)
+
+        monkeypatch.setattr(dc.Tape, "_record", counted)
+        with one_chunk(), dc.Tape() as tape:
             sg.forward(g, w, ind, model, model_tensors=model.tensors(requires_grad=trained))
-        assert len(tape._ops) <= 3 * config.rounds + 8
+        assert len(set(records)) == 2 and tape in records
+        assert len(records) <= 3 * config.rounds + 8
 
 
 class TestEquivariance:
