@@ -52,9 +52,12 @@ class DimensionMismatchError(GraphError):
     """A vector or matrix does not match the graph's dimensions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable directed network topology with link capacities.
+
+    Equality and hashing are by identity: two graphs built from the same
+    links are different objects, and a graph can key a weak dictionary.
 
     Construction validates every structural invariant: integral indices
     in range, no self-loops, no duplicate directed links, strictly

@@ -1,3 +1,8 @@
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -351,3 +356,158 @@ class TestWeightCeiling:
         assert np.array_equal(loads, accumulate_loads(g.edge_count, paths, d))
         into_01 = (g.senders == 4) & np.isin(g.receivers, [0, 1])
         assert loads[into_01].sum() > 0.0
+
+
+def test_predecessor_cycle_raises(monkeypatch):
+    g, w = triangle()
+    # from source 0, node 1's predecessor is 2->1 (link 4) and node 2's is
+    # 1->2 (link 1): a walk back from either never reaches 0
+    pred = np.array([[-1, 4, 1], [3, -1, 1], [5, 4, -1]])
+    monkeypatch.setattr(xr, "_trees", lambda g, w, sources: (np.zeros((3, 3)), pred))
+    with pytest.raises(xr.UnreachableError, match="cycle"):
+        xr.routing_matrix(g, w)
+
+
+WALK_MOVES = ("up", "down", "tie", "two", "revert", "repeat", "new_demands", "demand_edit")
+
+
+def walk_step(rng, g, w, d, history):
+    """One seeded move on integer weights.  Edits the caller's buffers in
+    place, except that a revert and new demands hand over fresh arrays."""
+    kind = WALK_MOVES[rng.integers(len(WALK_MOVES))]
+    k = rng.integers(g.edge_count)
+    if kind == "up":
+        w[k] += rng.integers(1, 6)
+    elif kind == "down":
+        w[k] = max(1.0, w[k] - rng.integers(1, 6))
+    elif kind == "tie":
+        # lower a link onto an equal-cost path of some source
+        dist, _ = xr.shortest_path_tree(g, w, int(rng.integers(g.node_count)))
+        gap = dist[g.receivers] - dist[g.senders]
+        onto = np.flatnonzero((gap >= 1.0) & (gap < w))
+        if onto.size:
+            k = rng.choice(onto)
+            w[k] = gap[k]
+    elif kind == "two":
+        w[rng.choice(g.edge_count, 2, replace=False)] = rng.integers(1, 21, 2)
+    elif kind == "revert":
+        w = history[rng.integers(len(history))].copy()
+    elif kind == "new_demands":
+        d = rng.uniform(0.0, 10.0, g.pair_count)
+    elif kind == "demand_edit":
+        d[rng.integers(g.pair_count)] = rng.uniform(0.0, 10.0)
+    history.append(w.copy())
+    return w, d
+
+
+def assert_loads_as_full_evaluation(g, w, d):
+    got = xr.link_loads(g, w, d)
+    graph = (g.node_count, g.senders.tolist(), g.receivers.tolist(), w.copy())
+    assert np.array_equal(got, sweep_link_loads(*graph, d))
+    fresh = ng.Graph(g.node_count, g.receivers, g.senders, g.capacities)
+    assert np.array_equal(got, xr.link_loads(fresh, w, d))
+
+
+@pytest.mark.parametrize("n_nodes, steps", [(12, 80), (24, 40), (50, 16)])
+def test_incremental_loads_bitwise_equal_along_walks(n_nodes, steps):
+    """Interleaved walks on three graphs: after every call the loads are
+    those of the oracle and of a full evaluation on a fresh graph."""
+    rng = np.random.default_rng(n_nodes + 1000)
+    walks = []
+    for _ in range(3):
+        g = ring_with_chords(rng, n_nodes, chords=n_nodes * 4 // 5)
+        w = rng.integers(1, 21, g.edge_count).astype(np.float64)
+        walks.append([g, w, rng.uniform(0.0, 10.0, g.pair_count), [w.copy()]])
+    for _ in range(steps):
+        for walk in walks:
+            g, w, d, history = walk
+            assert_loads_as_full_evaluation(g, w, d)
+            walk[1], walk[2] = walk_step(rng, g, w, d, history)
+
+
+def test_one_link_move_resweeps_only_affected_sources(monkeypatch):
+    rng = np.random.default_rng(3)
+    g = ring_with_chords(rng, 24, chords=19)
+    w = rng.integers(1, 21, g.edge_count).astype(np.float64)
+    d = rng.uniform(0.0, 10.0, g.pair_count)
+    xr.link_loads(g, w, d)
+    _, pred = xr._trees(g, w, np.arange(g.node_count))
+    swept = []
+    trees = xr._trees
+    monkeypatch.setattr(xr, "_trees", lambda g, w, sources: swept.append(sources) or trees(g, w, sources))
+
+    unused = np.setdiff1d(np.arange(g.edge_count), pred)
+    assert unused.size
+    raised = w.copy()
+    raised[unused[0]] += 1.0
+    graph = (g.node_count, g.senders.tolist(), g.receivers.tolist())
+    assert np.array_equal(xr.link_loads(g, raised, d), sweep_link_loads(*graph, raised, d))
+    assert swept == []
+
+    k = pred[0, 1]
+    raised = w.copy()
+    raised[k] += 1.0
+    xr.link_loads(g, raised, d)
+    assert len(swept) == 1 and np.array_equal(swept[0], np.flatnonzero((pred == k).any(axis=1)))
+    assert 0 < swept[0].size < g.node_count
+
+    # a link lowered onto a tie, with a lower sender than the predecessor
+    # it ties with, takes over that predecessor: the ``<=`` sweeps it
+    dist, _ = xr._trees(g, w, np.arange(g.node_count))
+    gap = dist[:, g.receivers] - dist[:, g.senders]
+    lower_sender = g.senders < g.senders[pred[:, g.receivers]]
+    ties = np.argwhere((gap >= 1.0) & (gap < w) & lower_sender)
+    assert ties.size
+    s, j = ties[0]
+    lowered = w.copy()
+    lowered[j] = gap[s, j]
+    assert xr._trees(g, lowered, np.array([s]))[1][0, g.receivers[j]] == j
+    swept.clear()
+    assert np.array_equal(xr.link_loads(g, lowered, d), sweep_link_loads(*graph, lowered, d))
+    reached = np.flatnonzero(dist[:, g.senders[j]] + lowered[j] <= dist[:, g.receivers[j]])
+    assert len(swept) == 1 and np.array_equal(swept[0], reached) and s in reached
+
+
+def test_record_released_with_its_graph():
+    g, w = triangle()
+    xr.link_loads(g, w, np.ones(g.pair_count))
+    record = weakref.ref(xr._records[g])
+    del g
+    gc.collect()
+    assert record() is None
+
+
+def test_threads_sharing_a_graph_get_serial_results():
+    rng = np.random.default_rng(5)
+    g = ring_with_chords(rng, 24, chords=19)
+    d = rng.uniform(0.0, 10.0, g.pair_count)
+    walks = []
+    for _ in range(4):  # more threads than a 2-CPU runner has cores
+        w = rng.integers(1, 21, g.edge_count).astype(np.float64)
+        walk = []
+        for k in rng.integers(g.edge_count, size=25):
+            w[k] = rng.integers(1, 21)
+            walk.append(w.copy())
+        walks.append(walk)
+    graph = (g.node_count, g.senders.tolist(), g.receivers.tolist())
+    expected = [[sweep_link_loads(*graph, w, d) for w in walk] for walk in walks]
+    results = [[] for _ in walks]
+
+    def run(i):
+        for w in walks[i]:
+            results[i].append(xr.link_loads(g, w, d))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(walks))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, expect in zip(results, expected):
+        assert len(got) == len(expect)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))

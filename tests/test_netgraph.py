@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,18 @@ class TestBuildGraph:
         g = ng.Graph(2.0, [1.0, 0.0], np.array([0, 1], dtype=np.uint8), [1.0, 1.0])
         assert g.node_count == 2 and type(g.node_count) is int
         assert g.receivers.tolist() == [1, 0] and g.senders.dtype == np.int64
+
+    def test_equality_and_hash_are_identity(self):
+        # field-wise, numpy's array comparison made == and hash() raise
+        g = ng.build_graph(2, [(0, 1, 1.0, False)])
+        twin = ng.build_graph(2, [(0, 1, 1.0, False)])
+        assert g == g and g != twin
+        assert {g: 1}[g] == 1 and twin not in {g: 1}
+        ref = weakref.ref(g)
+        assert ref() is g
+        del g
+        gc.collect()
+        assert ref() is None
 
 
 class TestPairEnumeration:
