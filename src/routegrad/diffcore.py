@@ -9,29 +9,32 @@ overhead.
 Retention contract: a backward closure never holds an input ``Tensor``.
 When an op records itself it copies each input's uid (``None`` when the
 input needs no gradient) and shape into locals, and the closure keeps
-those plus only the arrays its formula reads.  ReLU and clip keep a
-boolean mask, sigmoid and exp their output, layer normalization the
-standardized values and the inverse deviations, a product or quotient
-an operand only when the other side needs its gradient, a dense layer
-its activations only when its weights need a gradient, and a row map
-(``map_rows``) its part tapes and their row ranges.  The fused
-MLP block (``mlp_ln``) keeps what its unfused chain would: the
-standardized values, the inverse deviations and a boolean ReLU mask,
-its inputs only when its first weights need a gradient, and its ReLU
-output, in place of the mask, only when its second weights do.  An
-intermediate activation is therefore freed as soon as the forward pass
-drops it, and a batched-GNN gradient with fixed parameters retains
-about one f64 standardized block plus one boolean mask per processed
-latent element, not the whole forward graph.  The exceptions are inputs
-a formula needs (``log`` keeps its argument, ``div`` its divisor) and
+those plus only the arrays its formula reads.  ReLU keeps a boolean
+mask, sigmoid its output, layer normalization the standardized values
+and the inverse deviations, a quotient or matrix product an operand
+only when the other side needs its gradient, a dense layer its
+activations only when its weights need a gradient, binary cross-entropy
+the clamped probabilities and the labels, and a row map (``map_rows``)
+its part tapes and their row ranges.  The fused MLP block (``mlp_ln``)
+keeps what its unfused chain would: the standardized values, the
+inverse deviations and a boolean ReLU mask, its inputs only when its
+first weights need a gradient, and its ReLU output, in place of the
+mask, only when its second weights do.  An intermediate activation is
+therefore freed as soon as the forward pass drops it, and a batched-GNN
+gradient with fixed parameters retains about one f64 standardized block
+plus one boolean mask per processed latent element, not the whole
+forward graph.  The exceptions are inputs a formula needs (``div`` keeps
+its divisor, ``soft_maximum`` its argument beside the exponentials) and
 views: a ``reshape`` output shares its input's buffer, so it keeps it
 alive for as long as the caller holds it.  The reverse pass drops each
 op, and with it what the op kept, once its backward has run, so what a
 tape retains is freed as the pass unwinds, and a tape gives one
 gradient.
 
-Also here: the temperature-weighted soft maximum, binary cross-entropy
-and the Adam update rule.
+The two objectives the weight optimizer and the surrogate's training
+descend, the temperature-weighted soft maximum and binary cross-entropy,
+are one op each with a hand-written backward.  Also here: the Adam
+update rule.
 """
 
 from __future__ import annotations
@@ -113,7 +116,8 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a size-1 tensor, of any shape, as a Python float."""
+        return self.data.item()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -281,48 +285,6 @@ def add(a, b) -> Tensor:
     return _finish(data, [a, b], backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-
-    def backward(out):
-        ua, sa, ub, sb = _tracked_uid(a), a.shape, _tracked_uid(b), b.shape
-
-        def run(g):
-            pairs = []
-            if ua is not None:
-                pairs.append((ua, _unbroadcast(g, sa)))
-            if ub is not None:
-                pairs.append((ub, _unbroadcast(-g, sb)))
-            return pairs
-
-        return run
-
-    return _finish(data, [a, b], backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-
-    def backward(out):
-        ua, sa, ub, sb = _tracked_uid(a), a.shape, _tracked_uid(b), b.shape
-        a_data = a.data if b.requires_grad else None
-        b_data = b.data if a.requires_grad else None
-
-        def run(g):
-            pairs = []
-            if ua is not None:
-                pairs.append((ua, _unbroadcast(g * b_data, sa)))
-            if ub is not None:
-                pairs.append((ub, _unbroadcast(g * a_data, sb)))
-            return pairs
-
-        return run
-
-    return _finish(data, [a, b], backward)
-
-
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data / b.data
@@ -345,89 +307,8 @@ def div(a, b) -> Tensor:
     return _finish(data, [a, b], backward)
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(out):
-        ua = a._uid
-        return lambda g: [(ua, -g)]
-
-    return _finish(-a.data, [a], backward)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-
-    def backward(out):
-        ua, y = a._uid, out.data
-        return lambda g: [(ua, g * y)]
-
-    return _finish(data, [a], backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.log(a.data)
-
-    def backward(out):
-        ua, x = a._uid, a.data
-        return lambda g: [(ua, g / x)]
-
-    return _finish(data, [a], backward)
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp with straight-through gradient inside [lo, hi], zero outside."""
-    a = as_tensor(a)
-    data = np.clip(a.data, lo, hi)
-
-    def backward(out):
-        ua, mask = a._uid, (a.data > lo) & (a.data < hi)
-        return lambda g: [(ua, g * mask)]
-
-    return _finish(data, [a], backward)
-
-
 # ---------------------------------------------------------------------------
-# reductions and shape ops
-
-
-def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(out):
-        ua, shape = a._uid, a.shape
-
-        def run(g):
-            gx = g
-            if axis is not None and not keepdims:
-                gx = np.expand_dims(gx, axis)
-            return [(ua, np.broadcast_to(gx, shape))]
-
-        return run
-
-    return _finish(data, [a], backward)
-
-
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.size if axis is None else a.shape[axis]
-
-    def backward(out):
-        ua, shape = a._uid, a.shape
-
-        def run(g):
-            gx = g
-            if axis is not None and not keepdims:
-                gx = np.expand_dims(gx, axis)
-            return [(ua, np.broadcast_to(gx, shape) / count)]
-
-        return run
-
-    return _finish(data, [a], backward)
+# shape ops
 
 
 def reshape(a, shape) -> Tensor:
@@ -1015,6 +896,13 @@ def soft_maximum(x, tau: float) -> Tensor:
     ``sum_i x_i * exp(x_i / tau) / sum_j exp(x_j / tau)``, evaluated with
     max-subtraction so large ``x / tau`` ratios cannot overflow.  Equals
     the mean for large tau and approaches the hard maximum as tau -> 0+.
+
+    One op: with ``e`` the shifted exponentials, ``num = sum(x * e)`` and
+    ``den = sum(e)``, the backward is ``gn * e + (gd + gn * x) * e / tau``
+    for ``gn = g / den`` and ``gd = -g * num / den**2``, evaluated in the
+    order the tape of its element-wise chain (shift, scale, exp, product,
+    two sums, quotient) would, so values and gradients are bit for bit
+    the chain's.
     """
     x = as_tensor(x)
     if x.size == 0:
@@ -1022,9 +910,22 @@ def soft_maximum(x, tau: float) -> Tensor:
     if not tau > 0.0:
         raise NonPositiveTemperatureError(f"temperature must be positive, got {tau}")
     # shifting by the (detached) max leaves both value and gradient intact
-    shift = float(x.data.max())
-    e = exp(mul(sub(x, shift), 1.0 / tau))
-    return div(tensor_sum(mul(x, e)), tensor_sum(e))
+    inv_tau = 1.0 / tau
+    e = np.exp((x.data - float(x.data.max())) * inv_tau)
+    num = (x.data * e).sum()
+    den = e.sum()
+
+    def backward(out):
+        ux, x_data = x._uid, x.data
+
+        def run(g):
+            gn = g / den
+            gd = -g * num / (den * den)
+            return [(ux, gn * e + (gd + gn * x_data) * e * inv_tau)]
+
+        return run
+
+    return _finish(num / den, [x], backward)
 
 
 BCE_CLAMP = 1e-7
@@ -1034,15 +935,36 @@ def binary_cross_entropy(p, labels) -> Tensor:
     """Mean binary cross-entropy between probabilities and 0/1 labels.
 
     Probabilities are clamped to ``[1e-7, 1 - 1e-7]`` so confidently wrong
-    predictions yield a large finite loss instead of infinity.
+    predictions yield a large finite loss instead of infinity; the
+    gradient is zero where the clamp binds.
+
+    One op: with ``pc`` the clamped probabilities and ``gm = -g / size``
+    per entry, the backward is ``-(gm * (1 - y) / (1 - pc)) + gm * y / pc``,
+    evaluated in the order the tape of its element-wise chain (clamp, two
+    logs, two products, sum, mean, negation) would, so values and
+    gradients are bit for bit the chain's.
     """
     p = as_tensor(p)
     y = np.asarray(labels.data if isinstance(labels, Tensor) else labels, dtype=np.float64)
     if y.shape != p.shape:
         raise ShapeMismatchError(f"labels shape {y.shape} vs predictions {p.shape}")
-    pc = clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    term = add(mul(y, log(pc)), mul(1.0 - y, log(sub(1.0, pc))))
-    return neg(mean(term))
+    lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
+    pc = np.clip(p.data, lo, hi)
+    term = y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)
+
+    def backward(out):
+        up = p._uid
+
+        def run(g):
+            gm = np.broadcast_to(-g, pc.shape) / pc.size
+            gp = -(gm * (1.0 - y) / (1.0 - pc)) + gm * y / pc
+            # pc lies strictly inside the clamp exactly where p does
+            gp *= (pc > lo) & (pc < hi)
+            return [(up, gp)]
+
+        return run
+
+    return _finish(-term.mean(), [p], backward)
 
 
 # ---------------------------------------------------------------------------

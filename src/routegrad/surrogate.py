@@ -175,16 +175,39 @@ def _decode(edges, mt) -> dc.Tensor:
 
 
 def query_indicators(g: Graph, queries) -> np.ndarray:
-    """Node feature block for a batch of queries: [I(u=i), I(v=i)] per node."""
+    """Node feature block for a batch of queries: [I(u=i), I(v=i)] per node.
+
+    Args:
+        g: Graph whose nodes the queries name.
+        queries: ``(source, destination)`` pairs, as an integer ``[n_q, 2]``
+            array or a sequence of pairs of Python or numpy integers.
+
+    Raises:
+        GraphError: a query is not a pair, an endpoint is not an integer
+            (a bool or an integral float is not), lies outside ``[0, n)``,
+            or equals the other endpoint.
+    """
     n = g.node_count
-    ind = np.zeros((len(queries), n, NODE_FEATURES))
-    for row, (u, v) in enumerate(queries):
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"query ({u}, {v}) has an endpoint outside [0, {n})")
-        if u == v:
-            raise GraphError("query endpoints must differ")
-        ind[row, u, 0] = 1.0
-        ind[row, v, 1] = 1.0
+    if not (isinstance(queries, np.ndarray) and queries.dtype.kind in "iu"):
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for q in queries for x in q):
+            raise GraphError("query endpoints must be integers, not bools or floats")
+    try:
+        # ragged pairs raise ValueError, and integers past int64 OverflowError
+        pairs = np.array(queries, dtype=np.int64)
+    except (OverflowError, ValueError) as exc:
+        raise GraphError(f"queries are not (source, destination) pairs in [0, {n}): {exc}") from None
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+        raise GraphError(f"queries of shape {pairs.shape} are not (source, destination) pairs")
+    pairs = pairs.reshape(-1, 2)
+    outside = np.any((pairs < 0) | (pairs >= n), axis=1)
+    if outside.any():
+        raise GraphError(f"query {pairs[outside.argmax()].tolist()} has an endpoint outside [0, {n})")
+    if np.any(pairs[:, 0] == pairs[:, 1]):
+        raise GraphError("query endpoints must differ")
+    ind = np.zeros((len(pairs), n, NODE_FEATURES))
+    rows = np.arange(len(pairs))
+    ind[rows, pairs[:, 0], 0] = 1.0
+    ind[rows, pairs[:, 1], 1] = 1.0
     return ind
 
 

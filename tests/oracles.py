@@ -187,6 +187,51 @@ def softmax_temperature_reference(x, tau):
     return num / den
 
 
+def soft_maximum_chain(x, tau, g=1.0):
+    """Value and gradient of the soft maximum as an element-wise op chain gives them.
+
+    The chain is a shift by the max, a scale by ``1 / tau``, exp, the
+    product with ``x``, two sums and their quotient; a tape pulls them back
+    in reverse, and ``x`` and ``e`` each receive two gradients, added in
+    the order they arrive.  Every float operation below is one of the
+    chain's, in its order, for the output gradient ``g``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    inv_tau = 1.0 / tau
+    e = np.exp((x - x.max()) * inv_tau)
+    num, den = (x * e).sum(), e.sum()
+    g = np.float64(g)
+    # the quotient, then each sum broadcasts its gradient
+    g_num = np.broadcast_to(g / den, x.shape)
+    g_den = np.broadcast_to(-g * num / (den * den), x.shape)
+    # the product: x receives g_num * e, and e receives g_num * x after g_den
+    g_x = g_num * e
+    g_e = g_den + g_num * x
+    # exp, the scale and the shift lead to x's second gradient
+    return num / den, g_x + g_e * e * inv_tau
+
+
+def binary_cross_entropy_chain(p, labels, g=1.0):
+    """Value and gradient of mean BCE as an element-wise op chain gives them.
+
+    The chain clamps ``p`` to ``[1e-7, 1 - 1e-7]``, takes both logs, the
+    label products, their sum, its mean and the negation; the clamped
+    ``pc`` receives the ``log(1 - pc)`` branch's gradient first.  Every
+    float operation below is one of the chain's, in its order, for the
+    output gradient ``g``; the clamp passes the gradient strictly inside
+    its bounds and stops it elsewhere.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    lo, hi = 1e-7, 1.0 - 1e-7
+    pc = np.clip(p, lo, hi)
+    term = y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)
+    gm = np.broadcast_to(-np.float64(g), p.shape) / p.size
+    g_pc = -(gm * (1.0 - y) / (1.0 - pc))
+    g_pc = g_pc + gm * y / pc
+    return -term.mean(), g_pc * ((p > lo) & (p < hi))
+
+
 def central_difference(f, x, h=1e-5):
     """Central finite-difference gradient of a scalar function of a vector.
 

@@ -43,6 +43,29 @@ class TestQueryIndicators:
             with pytest.raises(ng.GraphError):
                 sg.query_indicators(g, [query])
 
+    @pytest.mark.parametrize(
+        "queries",
+        [[(0.5, 1)], [(np.float64(1.0), 2)], [(True, 2)], np.array([[True, False]]), np.array([[0.0, 1.0]]),
+         [(2**70, 1)], [(0, 1, 2)], [(0, 1), (2,)]],
+        ids=["half", "integral_float", "bool", "bool_array", "float_array", "past_int64", "triple", "ragged"],
+    )
+    def test_non_integer_endpoints_rejected(self, small_graph, queries):
+        # a bool would otherwise be read as node 0 or 1, and a float raise
+        # numpy's IndexError
+        g, _ = small_graph
+        with pytest.raises(ng.GraphError):
+            sg.query_indicators(g, queries)
+
+    def test_matches_per_query_loop(self, small_graph):
+        g, _ = small_graph
+        pairs = ng.ordered_pairs(g.node_count)
+        expect = np.zeros((len(pairs), g.node_count, 2))
+        for row, (u, v) in enumerate(pairs):
+            expect[row, u, 0] = expect[row, v, 1] = 1.0
+        for queries in [pairs, pairs.astype(np.int32), [tuple(int(x) for x in q) for q in pairs], list(pairs)]:
+            assert np.array_equal(sg.query_indicators(g, queries), expect)
+        assert sg.query_indicators(g, []).shape == (0, g.node_count, 2)
+
 
 def offset_model(config, seed):
     """A fresh model whose biases are moved off zero.
@@ -387,7 +410,7 @@ class TestPredictAllPairs:
                 start = tracemalloc.get_traced_memory()[0]
                 with dc.Tape() as tape:
                     P = sg.predict_all_pairs(model, g, w)
-                    objective = dc.soft_maximum(dc.tensor_sum(P, axis=0), 1.0)
+                    objective = dc.soft_maximum(dc.matmul(np.ones((1, P.shape[0])), P), 1.0)
                     retained = tracemalloc.get_traced_memory()[0] - start
                     tape.gradient(objective, w)
                 transient = tracemalloc.get_traced_memory()[1] - start - retained
@@ -445,7 +468,7 @@ class TestPredictAllPairs:
             start = tracemalloc.get_traced_memory()[0]
             with dc.Tape() as tape:
                 P = sg.predict_all_pairs(model, g, w)
-                objective = dc.soft_maximum(dc.tensor_sum(P, axis=0), 1.0)
+                objective = dc.soft_maximum(dc.matmul(np.ones((1, P.shape[0])), P), 1.0)
                 retained = tracemalloc.get_traced_memory()[0] - start
                 tape.gradient(objective, w)
         finally:
