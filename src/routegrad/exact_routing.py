@@ -12,9 +12,10 @@ heap-based Dijkstra run per source bit for bit.
 the graph, holds the in-link table, a copy of the demands and the last
 two evaluations (128 kB at 50 nodes and 180 links); a call sweeps again
 only the sources whose tree a changed link can enter or leave
-(Ramalingam & Reps, 1996), and its loads are bitwise those of a full
-evaluation.  A local search that moves one link at a time re-sweeps
-about a third of the sources per candidate.
+(Ramalingam & Reps, 1996), starting their rounds from the stored
+distances, and its loads are bitwise those of a full evaluation.  A
+local search that moves one link at a time re-sweeps about a third of
+the sources per candidate, in about 8 rounds instead of 11.
 
 Tie-breaking is part of the contract: among equal-cost alternatives the
 predecessor with the lowest sender node index wins, so identical inputs
@@ -94,12 +95,17 @@ def _record(g: Graph) -> _Record:
     return rec
 
 
-def _trees(g: Graph, w: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _trees(
+    g: Graph, w: np.ndarray, sources: np.ndarray, start: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Shortest-path trees of ``sources`` under validated weights ``w``.
 
     Returns ``(dist, pred)``, both ``[len(sources), n]``: row i holds the
     path costs from ``sources[i]`` and, per node, the final link of its
-    chosen path (``-1`` at the source).
+    chosen path (``-1`` at the source).  ``start``, also ``[len(sources),
+    n]`` and left unchanged, may give upper bounds on the distances to
+    start the rounds from (inf where none is known); each source's own
+    entry is taken as 0 whatever it holds.
 
     The in-link table ``link[D, n]``, D the largest in-degree, lists in
     column v the links into v, the lowest sender in slot 0.  Shorter
@@ -108,15 +114,16 @@ def _trees(g: Graph, w: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np
 
     Distances come from Jacobi min-plus rounds: every round relaxes every
     link from every source at once, ``D'[v] = min(D[v], min over slots j
-    of fl(D[s_jv] + w_jv))``, starting from 0 at the source and inf
-    elsewhere, until a round changes nothing.  A pad adds inf to a
+    of fl(D[s_jv] + w_jv))``, starting from 0 at the source and ``start``
+    or inf elsewhere, until a round changes nothing.  A pad adds inf to a
     distance that is never -inf, so it offers inf, which never lowers a
     minimum.  Heap-based Dijkstra ends with ``dist[v] = fl(dist[p] +
     w_k)`` for the link k from p that last lowered it, and with no link
     able to lower any node further.  By induction over that tree's depth,
     round t has reached Dijkstra's value at every node within t links of
-    the source, and no round goes below it, since rounding is monotone; so
-    at most ``n - 1`` rounds end on Dijkstra's distances exactly.  A round
+    the source, and no round goes below it, since rounding is monotone and
+    the start is nowhere below it; so at most ``n - 1`` rounds end on
+    Dijkstra's distances exactly, and a tighter start needs fewer.  A round
     that changes nothing has reached a fixed point, and every later round
     would repeat it, so stopping there is exact.  ``validate_weights``
     keeps every weight in ``[W_MIN, W_MAX]``, which makes every path sum
@@ -129,24 +136,33 @@ def _trees(g: Graph, w: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np
     lowest sender.  The graph is strongly connected, so every distance is
     finite by then, and a pad's inf offer never equals one: the pad is
     never chosen.
+
+    A round is five in-place numpy calls on buffers made once per call,
+    with the weights already repeated to the full ``[D, n, sources]``
+    shape.  The gather is ``np.take(..., mode="clip")``: numpy buffers
+    ``take``'s ``out`` under the default ``mode="raise"``, and the table's
+    indices are the graph's own nodes, so clipping never moves one.
     """
-    n = g.node_count
+    n, m = g.node_count, sources.size
     # node-major: row v holds v's distance from every source, so a round
     # gathers whole rows
-    cols = np.arange(sources.size)
-    dist = np.full((n, sources.size), np.inf)
+    cols = np.arange(m)
+    dist = np.full((n, m), np.inf) if start is None else np.array(start.T, order="C")
     dist[sources, cols] = 0.0
     if g.edge_count == 0:  # a single node
-        return dist.T, np.full((sources.size, n), -1, dtype=np.int64)
+        return dist.T, np.full((m, n), -1, dtype=np.int64)
     link, s_in = _record(g).in_links
-    w_in = np.append(w, np.inf)[link][:, :, None]
+    w_in = np.repeat(np.append(w, np.inf)[link][:, :, None], m, axis=2)
+    cand, best, lower = np.empty_like(w_in), np.empty_like(dist), np.empty(dist.shape, dtype=bool)
     while True:
-        cand = dist[s_in]  # [D, n, sources]
+        # "clip" never moves an index of the graph's own table, and unlike
+        # "raise" it leaves ``out`` unbuffered
+        np.take(dist, s_in, axis=0, out=cand, mode="clip")  # [D, n, sources]
         cand += w_in
-        new = np.minimum(dist, cand.min(axis=0))
-        if np.array_equal(new, dist):
+        np.minimum.reduce(cand, axis=0, out=best)
+        if not np.less(best, dist, out=lower).any():
             break
-        dist = new
+        np.minimum(dist, best, out=dist)
     if np.isinf(dist).any():
         raise UnreachableError("nodes unreachable from a source; graph state is corrupt")
 
@@ -217,12 +233,11 @@ def link_loads(g: Graph, weights: np.ndarray, demands: np.ndarray) -> np.ndarray
     first), all sources moving together one rank at a time; each node
     hands its carried traffic to its predecessor link's sender.  A node's
     final carry is what its source sends over the node's predecessor
-    link, so one scatter of the carries gives the per-source loads.  They
-    are summed over the sources' axis, which numpy adds row by row in
-    source order for this C-contiguous block;
-    ``test_bitwise_equal_to_heap_dijkstra`` pins that order against a
-    source-by-source sweep.  Matches ``demands @ routing_matrix`` up to
-    summation order.
+    link, so one ``np.bincount`` of the carries, weighted and keyed by
+    predecessor link, gives the loads.  ``bincount`` adds in index order,
+    which for every link is source order, as a source-by-source sweep
+    adds; ``test_bitwise_equal_to_heap_dijkstra`` pins that order.
+    Matches ``demands @ routing_matrix`` up to summation order.
 
     Only the sources whose tree the changed links can alter are swept
     again.  The graph's record (:class:`_Record`) keeps the last two
@@ -248,6 +263,18 @@ def link_loads(g: Graph, weights: np.ndarray, demands: np.ndarray) -> np.ndarray
     base's too.  The first call on a graph has no base and sweeps every
     source: a full evaluation is this code with every source affected,
     so the loads are always bitwise those of one.
+
+    An affected source's rounds start from its base distances, and any
+    start that bounds the new distances from above ends on the same
+    trees (see :func:`_trees`).  A node whose base path has no increased
+    link keeps a bound: that path costs no more under the new weights, as
+    rounding is monotone, and no distance exceeds the rounded cost of a
+    path.  A node whose base path crosses an increased link k lies at or
+    beyond ``recv_k`` in that tree, so its base distance is at least
+    ``dist[recv_k]``; each source resets to inf every node at or beyond
+    the least such distance.  That is more than the subtrees below the
+    increased links, but resetting exactly those cost more than the
+    rounds it saved.
     """
     w = validate_weights(g, weights)
     d = validate_demands(g, demands)
@@ -255,27 +282,34 @@ def link_loads(g: Graph, weights: np.ndarray, demands: np.ndarray) -> np.ndarray
     rec = _record(g)
     known, states = rec.view
     # -0.0 equals 0.0 here: it can only change the sign of a zero carry,
-    # and each link's sum holds the +0.0 of the source at its receiver
+    # and ``bincount`` starts each link's sum at +0.0
     new_demands = known is None or not np.array_equal(d, known)
     base = min(states, key=lambda s: np.count_nonzero(s.w != w), default=None)
     if base is None:
-        affected = np.arange(n)
+        affected, start = np.arange(n), None
         dist, pred, carry = np.empty((n, n)), np.empty((n, n), dtype=np.int32), np.empty((n, n))
     else:
         changed = np.flatnonzero(w != base.w)
         up = changed[w[changed] > base.w[changed]]
         down = changed[w[changed] < base.w[changed]]
-        hit = (base.pred[:, g.receivers[up]] == up).any(axis=1)
+        recv = g.receivers[up]
+        in_tree = base.pred[:, recv] == up
+        hit = in_tree.any(axis=1)
         hit |= (base.dist[:, g.senders[down]] + w[down] <= base.dist[:, g.receivers[down]]).any(axis=1)
         if new_demands:
             hit |= (d != known).reshape(n, n - 1).any(axis=1)
         affected = np.flatnonzero(hit)
+        # every node at or beyond an increased link of its source's tree
+        # starts at inf; the others keep their base cost as an upper bound
+        start = base.dist[affected]
+        cut = np.where(in_tree[affected], start[:, recv], np.inf).min(axis=1, initial=np.inf)
+        start[start >= cut[:, None]] = np.inf
         dist, pred, carry = base.dist, base.pred, base.carry
         if affected.size:
             dist, pred, carry = dist.copy(), pred.copy(), carry.copy()
     if affected.size:
         m = affected.size
-        dist[affected], pred[affected] = _trees(g, w, affected)
+        dist[affected], pred[affected] = _trees(g, w, affected, start)
         offset = np.arange(m)[:, None] * n
         sweep = np.zeros(m * n)
         sweep[(np.arange(n) != affected[:, None]).ravel()] = d.reshape(n, n - 1)[affected].ravel()
@@ -291,10 +325,8 @@ def link_loads(g: Graph, weights: np.ndarray, demands: np.ndarray) -> np.ndarray
         rec.view = (d.copy(), (_State(w.copy(), dist, pred, carry),))
     elif changed.size:  # a record with no demands yet has no base either
         rec.view = (known, (base, _State(w.copy(), dist, pred, carry)))
-    off = np.flatnonzero(~np.eye(n, dtype=bool))
-    per_source = np.zeros(n * edges)
-    per_source[pred.ravel()[off] + off // n * edges] = carry.ravel()[off]
-    return per_source.reshape(n, edges).sum(axis=0)
+    off = ~np.eye(n, dtype=bool)  # boolean indexing reads in row-major order
+    return np.bincount(pred[off], weights=carry[off], minlength=edges)
 
 
 def exact_max_utilization(g: Graph, weights: np.ndarray, demands: np.ndarray) -> float:

@@ -41,7 +41,7 @@ class DuplicateEdgeError(GraphError):
 
 
 class NonPositiveCapacityError(GraphError):
-    """A link capacity is zero or negative."""
+    """A link capacity is not finite and positive: zero, negative, NaN or infinite."""
 
 
 class NotStronglyConnectedError(GraphError):
@@ -60,10 +60,10 @@ class Graph:
     links are different objects, and a graph can key a weak dictionary.
 
     Construction validates every structural invariant: integral indices
-    in range, no self-loops, no duplicate directed links, strictly
-    positive capacities, and strong connectivity (every ordered pair of
-    nodes must be connected by some directed path, otherwise routing is
-    undefined).
+    in range, no self-loops, no duplicate directed links, finite and
+    strictly positive capacities, and strong connectivity (every ordered
+    pair of nodes must be connected by some directed path, otherwise
+    routing is undefined).
 
     Attributes:
         node_count: Number of nodes, indexed ``0 .. node_count-1``.
@@ -112,9 +112,13 @@ class Graph:
             if key in pairs:
                 raise DuplicateEdgeError(f"duplicate directed link {key[0]}->{key[1]}")
             pairs.add(key)
-        if np.any(capacities <= 0.0):
-            k = int(np.flatnonzero(capacities <= 0.0)[0])
-            raise NonPositiveCapacityError(f"edge {k} has capacity {capacities[k]}")
+        # NaN fails both tests, so it is caught too
+        bad = ~(np.isfinite(capacities) & (capacities > 0.0))
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            raise NonPositiveCapacityError(
+                f"edge {k} has capacity {capacities[k]}; capacities must be finite and positive"
+            )
 
         object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "receivers", receivers)

@@ -425,6 +425,71 @@ def test_incremental_loads_bitwise_equal_along_walks(n_nodes, steps):
             walk[1], walk[2] = walk_step(rng, g, w, d, history)
 
 
+FLOAT_MOVES = ("up", "down", "three", "rescale", "tie")
+
+
+def float_walk_step(rng, g, w, weights):
+    """One seeded move on float weights drawn from ``WEIGHT_SETS[weights]``,
+    whose path sums round; edits ``w`` in place."""
+    kind = FLOAT_MOVES[rng.integers(len(FLOAT_MOVES))]
+    k = rng.integers(g.edge_count)
+    if kind == "up":
+        w[k] = min(ng.W_MAX, w[k] * rng.uniform(1.05, 3.0))
+    elif kind == "down":
+        w[k] = max(ng.W_MIN, w[k] * rng.uniform(0.2, 0.95))
+    elif kind == "three":
+        three = rng.choice(g.edge_count, 3, replace=False)
+        w[three] = WEIGHT_SETS[weights](rng, g)[three]
+    elif kind == "rescale":
+        w[:] = np.clip(w * rng.uniform(0.8, 1.25, g.edge_count), ng.W_MIN, ng.W_MAX)
+    else:
+        # lower a link onto a path of equal rounded cost from some source
+        dist, _ = xr.shortest_path_tree(g, w, int(rng.integers(g.node_count)))
+        gap = dist[g.receivers] - dist[g.senders]
+        onto = np.flatnonzero((gap >= ng.W_MIN) & (gap < w) & (dist[g.senders] + gap == dist[g.receivers]))
+        if onto.size:
+            k = rng.choice(onto)
+            w[k] = gap[k]
+
+
+@pytest.mark.parametrize("weights", ["tenths", "uniform"])
+@pytest.mark.parametrize("n_nodes, steps", [(12, 40), (24, 20), (50, 8)])
+def test_incremental_loads_bitwise_equal_along_float_walks(n_nodes, steps, weights):
+    """As the integer walks, on weights whose path sums round: every
+    distance the warm start keeps is a rounded sum, and the loads must
+    still be those of the oracle and of a full evaluation, bit for bit."""
+    rng = np.random.default_rng(n_nodes + 2000)
+    walks = []
+    for _ in range(3):
+        g = ring_with_chords(rng, n_nodes, chords=n_nodes * 4 // 5)
+        walks.append((g, WEIGHT_SETS[weights](rng, g), rng.uniform(0.0, 10.0, g.pair_count)))
+    for _ in range(steps):
+        for g, w, d in walks:
+            assert_loads_as_full_evaluation(g, w, d)
+            float_walk_step(rng, g, w, weights)
+
+
+@pytest.mark.parametrize("weights", sorted(WEIGHT_SETS))
+def test_trees_from_an_upper_bound_start_equal_a_cold_start(weights):
+    """Any start that bounds the distances from above, here with random
+    entries (sources included) set to inf, ends on the cold call's
+    distances and predecessors bit for bit."""
+    rng = np.random.default_rng(17)
+    for n_nodes in (12, 50):
+        g = ring_with_chords(rng, n_nodes, chords=n_nodes * 4 // 5)
+        w = WEIGHT_SETS[weights](rng, g)
+        sources = np.sort(rng.choice(n_nodes, n_nodes // 3, replace=False))
+        dist, pred = xr._trees(g, w, sources)
+        larger = np.minimum(w * rng.uniform(1.0, 3.0, g.edge_count), ng.W_MAX)
+        upper, _ = xr._trees(g, larger, sources)
+        upper[rng.random(upper.shape) < 0.3] = np.inf
+        for start in (upper, dist):
+            kept = start.copy()
+            got_dist, got_pred = xr._trees(g, w, sources, start)
+            assert np.array_equal(got_dist, dist) and np.array_equal(got_pred, pred)
+            assert np.array_equal(start, kept)
+
+
 def test_one_link_move_resweeps_only_affected_sources(monkeypatch):
     rng = np.random.default_rng(3)
     g = ring_with_chords(rng, 24, chords=19)
@@ -432,9 +497,19 @@ def test_one_link_move_resweeps_only_affected_sources(monkeypatch):
     d = rng.uniform(0.0, 10.0, g.pair_count)
     xr.link_loads(g, w, d)
     _, pred = xr._trees(g, w, np.arange(g.node_count))
-    swept = []
+    swept, started = [], []
     trees = xr._trees
-    monkeypatch.setattr(xr, "_trees", lambda g, w, sources: swept.append(sources) or trees(g, w, sources))
+
+    def recording_trees(g, w, sources, start=None):
+        # a warm start is an upper bound on the new distances, 0 at each source
+        if start is not None:
+            assert np.all(start >= trees(g, w, sources)[0])
+            assert np.all(start[np.arange(sources.size), sources] == 0.0)
+        swept.append(sources)
+        started.append(start is not None)
+        return trees(g, w, sources, start)
+
+    monkeypatch.setattr(xr, "_trees", recording_trees)
 
     unused = np.setdiff1d(np.arange(g.edge_count), pred)
     assert unused.size
@@ -450,6 +525,7 @@ def test_one_link_move_resweeps_only_affected_sources(monkeypatch):
     xr.link_loads(g, raised, d)
     assert len(swept) == 1 and np.array_equal(swept[0], np.flatnonzero((pred == k).any(axis=1)))
     assert 0 < swept[0].size < g.node_count
+    assert started == [True]
 
     # a link lowered onto a tie, with a lower sender than the predecessor
     # it ties with, takes over that predecessor: the ``<=`` sweeps it
@@ -463,9 +539,11 @@ def test_one_link_move_resweeps_only_affected_sources(monkeypatch):
     lowered[j] = gap[s, j]
     assert xr._trees(g, lowered, np.array([s]))[1][0, g.receivers[j]] == j
     swept.clear()
+    started.clear()
     assert np.array_equal(xr.link_loads(g, lowered, d), sweep_link_loads(*graph, lowered, d))
     reached = np.flatnonzero(dist[:, g.senders[j]] + lowered[j] <= dist[:, g.receivers[j]])
     assert len(swept) == 1 and np.array_equal(swept[0], reached) and s in reached
+    assert started == [True]
 
 
 def test_record_released_with_its_graph():

@@ -57,6 +57,14 @@ class TestBuildGraph:
         with pytest.raises(ng.NonPositiveCapacityError):
             ng.build_graph(2, [(0, 1, 0.0, False)])
 
+    @pytest.mark.parametrize("cap", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_capacity_rejected(self, cap):
+        # a NaN capacity would make the max utilization NaN, and an infinite
+        # one would make the inverse-capacity default weights NaN
+        links = [(0, 1, 1.0, False), (1, 2, cap, False), (0, 2, 1.0, False)]
+        with pytest.raises(ng.NonPositiveCapacityError, match="finite and positive"):
+            ng.build_graph(3, links)
+
     def test_caller_arrays_stay_writeable_and_apart(self):
         base = np.array([1.0, 2.0])
         receivers, senders = np.array([1, 0]), np.array([0, 1])
