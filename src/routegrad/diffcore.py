@@ -709,11 +709,12 @@ def layer_normalize(x, gain, bias) -> Tensor:
 
 
 def _row_indices(idx, n_rows: int, op: str) -> np.ndarray:
-    """``idx`` as int64, rejecting any entry outside ``[0, n_rows)``."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
-        raise ShapeMismatchError(f"{op}: index outside [0, {n_rows})")
-    return idx
+    """``idx`` as int64, rejecting a bool or float index and any entry
+    outside ``[0, n_rows)``: a cast would read 0.7 as row 0 and True as row 1."""
+    idx = np.asarray(idx)
+    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n_rows):
+        raise ShapeMismatchError(f"{op}: indices of dtype {idx.dtype} are not all integers in [0, {n_rows})")
+    return idx.astype(np.int64, copy=False)
 
 
 def _scatter_add(x: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .netgraph import Graph, GraphError, ordered_pairs, validate_demands, validate_weights
+from .netgraph import Graph, GraphError, node_indices, ordered_pairs, validate_demands, validate_weights
 
 
 class UnreachableError(GraphError):
@@ -180,7 +180,7 @@ def shortest_path_tree(g: Graph, weights: np.ndarray, src: int) -> tuple[np.ndar
     Args:
         g: Validated graph.
         weights: Positive weight per link.
-        src: Source node index, a Python or numpy integer (not a bool).
+        src: Source node, one index under :func:`netgraph.node_indices`.
 
     Returns:
         ``(dist, pred_edge)``: exact path costs from ``src`` and, for every
@@ -189,11 +189,10 @@ def shortest_path_tree(g: Graph, weights: np.ndarray, src: int) -> tuple[np.ndar
         path, the one with the lowest sender index is chosen.
     """
     w = validate_weights(g, weights)
-    if not isinstance(src, (int, np.integer)) or isinstance(src, bool):
-        raise GraphError(f"source index {src!r} is not an integer")
-    if not 0 <= src < g.node_count:
-        raise GraphError(f"source index {src} out of range")
-    dist, pred = _trees(g, w, np.array([src]))
+    source = node_indices(src, g.node_count, "source index")
+    if source.ndim:
+        raise GraphError(f"source {src!r} is not one node index")
+    dist, pred = _trees(g, w, source.reshape(1))
     return dist[0], pred[0]
 
 

@@ -5,7 +5,9 @@ per-link capacities, plus plain float64 numpy vectors for link weights,
 traffic demands and path membership, each with its validator here.
 Every array over source-destination pairs, demand vectors and
 routing-matrix rows alike, follows one fixed enumeration,
-:func:`ordered_pairs`.
+:func:`ordered_pairs`.  Every node index that comes in, a link end, a
+source, a query endpoint or a path endpoint, passes one rule,
+:func:`node_indices`.
 """
 
 from __future__ import annotations
@@ -59,14 +61,15 @@ class Graph:
     Equality and hashing are by identity: two graphs built from the same
     links are different objects, and a graph can key a weak dictionary.
 
-    Construction validates every structural invariant: integral indices
-    in range, no self-loops, no duplicate directed links, finite and
-    strictly positive capacities, and strong connectivity (every ordered
-    pair of nodes must be connected by some directed path, otherwise
-    routing is undefined).
+    Construction validates every structural invariant: link ends that
+    pass :func:`node_indices`, no self-loops, no duplicate directed links,
+    finite and strictly positive capacities, and strong connectivity
+    (every ordered pair of nodes must be connected by some directed path,
+    otherwise routing is undefined).
 
     Attributes:
-        node_count: Number of nodes, indexed ``0 .. node_count-1``.
+        node_count: Number of nodes, indexed ``0 .. node_count-1``; a
+            Python or numpy integer, not a bool, at least 1.
         receivers: int array of length ``edge_count``; head of each link.
         senders: int array of length ``edge_count``; tail of each link.
         capacities: float64 array of per-link capacities (Mbps).
@@ -80,18 +83,14 @@ class Graph:
     name: str = ""
 
     def __post_init__(self):
-        try:
-            n = int(self.node_count)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise GraphError(f"node_count {self.node_count!r} is not an integer") from exc
-        if n != self.node_count:
-            raise GraphError(f"node_count {self.node_count!r} is not an integer")
-        if n < 1:
-            raise GraphError("graph needs at least one node")
+        n = self.node_count
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+            raise GraphError(f"node_count {n!r} is not an integer >= 1")
+        n = int(n)
         # private copies: the caller's arrays stay writeable, and writing
         # to them later cannot change a graph that has been validated
-        receivers = _node_indices(self.receivers, "receivers")
-        senders = _node_indices(self.senders, "senders")
+        receivers = node_indices(self.receivers, n, "receivers")
+        senders = node_indices(self.senders, n, "senders")
         capacities = np.array(self.capacities, dtype=np.float64)
         if receivers.ndim != 1 or senders.shape != receivers.shape:
             raise DimensionMismatchError("receivers and senders must be equal-length 1-D arrays")
@@ -99,19 +98,15 @@ class Graph:
             raise DimensionMismatchError(
                 f"capacities has length {capacities.size}, expected {receivers.size}"
             )
-        if receivers.size and (
-            receivers.min() < 0 or receivers.max() >= n or senders.min() < 0 or senders.max() >= n
-        ):
-            raise GraphError("edge endpoint index out of range")
         if np.any(receivers == senders):
             k = int(np.flatnonzero(receivers == senders)[0])
             raise SelfLoopError(f"edge {k} is a self-loop at node {int(receivers[k])}")
-        pairs = set()
-        for k in range(receivers.size):
-            key = (int(senders[k]), int(receivers[k]))
-            if key in pairs:
-                raise DuplicateEdgeError(f"duplicate directed link {key[0]}->{key[1]}")
-            pairs.add(key)
+        # a link that is not the first with its (sender, receiver) key
+        repeat = np.ones(receivers.size, dtype=bool)
+        repeat[np.unique(senders * n + receivers, return_index=True)[1]] = False
+        if repeat.any():
+            k = int(repeat.argmax())
+            raise DuplicateEdgeError(f"duplicate directed link {senders[k]}->{receivers[k]}")
         # NaN fails both tests, so it is caught too
         bad = ~(np.isfinite(capacities) & (capacities > 0.0))
         if bad.any():
@@ -119,19 +114,22 @@ class Graph:
             raise NonPositiveCapacityError(
                 f"edge {k} has capacity {capacities[k]}; capacities must be finite and positive"
             )
+        # strongly connected exactly when node 0 reaches every node along
+        # the links and against them, growing the reached set hop by hop
+        for tail, head in ((senders, receivers), (receivers, senders)):
+            seen = np.zeros(n, dtype=bool)
+            seen[0] = True
+            reached = 0
+            while reached < np.count_nonzero(seen):
+                reached = np.count_nonzero(seen)
+                seen[head[seen[tail]]] = True
+            if reached < n:
+                raise NotStronglyConnectedError(f"graph {self.name!r} is not strongly connected")
 
         object.__setattr__(self, "node_count", n)
-        object.__setattr__(self, "receivers", receivers)
-        object.__setattr__(self, "senders", senders)
-        object.__setattr__(self, "capacities", capacities)
-        receivers.setflags(write=False)
-        senders.setflags(write=False)
-        capacities.setflags(write=False)
-
-        if not _strongly_connected(n, senders, receivers):
-            raise NotStronglyConnectedError(
-                f"graph {self.name!r} is not strongly connected"
-            )
+        for field, arr in (("receivers", receivers), ("senders", senders), ("capacities", capacities)):
+            arr.setflags(write=False)
+            object.__setattr__(self, field, arr)
 
     @property
     def edge_count(self) -> int:
@@ -142,43 +140,28 @@ class Graph:
         return self.node_count * (self.node_count - 1)
 
 
-def _node_indices(values, what: str) -> np.ndarray:
-    """A private int64 copy of ``values``; a fractional or non-finite entry raises."""
-    raw = np.asarray(values)
-    if raw.dtype.kind not in "iu":
-        try:
-            raw = raw.astype(np.float64)
-        except (TypeError, ValueError) as exc:
-            raise GraphError(f"{what} are not node indices: {exc}") from exc
-        if not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
-            raise GraphError(f"{what} has an entry that is not an integer")
+def node_indices(values, n: int, what: str) -> np.ndarray:
+    """The one rule for node indices: ``values`` as a private int64 array.
+
+    ``values`` is a Python or numpy integer, an integer array, or a nested
+    sequence of integers, of the shape the caller wants back.  A bool
+    (Python or numpy), a float (an integral one too), a ragged or
+    non-numeric entry, or an entry outside ``[0, n)`` (integers past int64
+    among them) raises :class:`GraphError`: reading ``True`` as node 1 or
+    truncating ``1.7`` to it would route another node without an error.
+    """
+    raw = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if raw.dtype == object:
+        # checked entry by entry: numpy reads ``[True, 1]`` as int64, and a
+        # ragged entry is left as a sequence here
+        integral = all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in raw.flat)
+    else:
+        integral = raw.dtype.kind in "iu"
+    if not integral:
+        raise GraphError(f"{what} are not integer node indices")
+    if raw.size and not (raw.min() >= 0 and raw.max() < n):
+        raise GraphError(f"{what} have an entry outside [0, {n})")
     return np.array(raw, dtype=np.int64)
-
-
-def _strongly_connected(n, senders, receivers) -> bool:
-    # BFS forward from node 0 and BFS over reversed edges; reaching every
-    # node both ways is equivalent to strong connectivity.
-    if n == 1:
-        return True
-
-    def reaches_all(adj_heads):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj_heads[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return bool(seen.all())
-
-    fwd: list[list[int]] = [[] for _ in range(n)]
-    rev: list[list[int]] = [[] for _ in range(n)]
-    for k in range(senders.size):
-        fwd[int(senders[k])].append(int(receivers[k]))
-        rev[int(receivers[k])].append(int(senders[k]))
-    return reaches_all(fwd) and reaches_all(rev)
 
 
 def build_graph(
@@ -200,18 +183,15 @@ def build_graph(
         SelfLoopError, DuplicateEdgeError, NonPositiveCapacityError,
         NotStronglyConnectedError: invariant violations.
     """
-    senders: list[int] = []
-    receivers: list[int] = []
-    capacities: list[float] = []
+    # the ends go to Graph as given, so that its one index rule sees them
+    # before any conversion could hide a bool or a float
+    senders, receivers, capacities = [], [], []
     for a, b, cap, directed in links:
-        senders.append(int(a))
-        receivers.append(int(b))
-        capacities.append(float(cap))
-        if not directed:
-            senders.append(int(b))
-            receivers.append(int(a))
-            capacities.append(float(cap))
-    return Graph(node_count, np.array(receivers), np.array(senders), np.array(capacities), name)
+        for s, r in [(a, b)] if directed else [(a, b), (b, a)]:
+            senders.append(s)
+            receivers.append(r)
+            capacities.append(cap)
+    return Graph(node_count, receivers, senders, capacities, name)
 
 
 def ordered_pairs(node_count: int) -> np.ndarray:
@@ -277,8 +257,14 @@ def validate_path_vector(g: Graph, membership: np.ndarray, u: int, v: int) -> No
     """Checks that a 0/1 membership vector is a simple directed path u -> v.
 
     Raises:
-        GraphError: when the marked edges do not form one simple path.
+        GraphError: when ``u`` or ``v`` is not one node of ``g`` (see
+            :func:`node_indices`) or the marked edges do not form one
+            simple path.
     """
+    ends = node_indices([u, v], g.node_count, "path endpoints")
+    if ends.shape != (2,):
+        raise GraphError(f"path endpoints {u!r}, {v!r} are not two nodes")
+    u, v = ends.tolist()
     p = np.asarray(membership)
     if p.shape != (g.edge_count,):
         raise DimensionMismatchError(

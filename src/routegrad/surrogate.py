@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .netgraph import Graph, GraphError, ordered_pairs, validate_weights
+from .netgraph import Graph, GraphError, node_indices, ordered_pairs, validate_weights
 
 CHECKPOINT_FORMAT = "routegrad-gnn"
 CHECKPOINT_VERSION = 2
@@ -73,8 +73,14 @@ class GnnConfig:
     share_processor: bool = False
 
     def __post_init__(self):
-        if self.hidden < 1 or self.rounds < 1:
-            raise GraphError("hidden width and round count must be >= 1")
+        # a float width would give float shapes, and a checkpoint's string
+        # "false" would read as True through bool()
+        for name in ("hidden", "rounds"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise GraphError(f"{name} must be an integer >= 1, not {value!r}")
+        if not isinstance(self.share_processor, bool):
+            raise GraphError(f"share_processor must be a bool, not {self.share_processor!r}")
 
     def parameter_shapes(self) -> dict[str, tuple[int, ...]]:
         """Name -> shape of every parameter, in the order they are initialized.
@@ -183,25 +189,14 @@ def query_indicators(g: Graph, queries) -> np.ndarray:
             array or a sequence of pairs of Python or numpy integers.
 
     Raises:
-        GraphError: a query is not a pair, an endpoint is not an integer
-            (a bool or an integral float is not), lies outside ``[0, n)``,
-            or equals the other endpoint.
+        GraphError: an endpoint fails :func:`netgraph.node_indices`, a
+            query is not a pair, or its endpoints are equal.
     """
     n = g.node_count
-    if not (isinstance(queries, np.ndarray) and queries.dtype.kind in "iu"):
-        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for q in queries for x in q):
-            raise GraphError("query endpoints must be integers, not bools or floats")
-    try:
-        # ragged pairs raise ValueError, and integers past int64 OverflowError
-        pairs = np.array(queries, dtype=np.int64)
-    except (OverflowError, ValueError) as exc:
-        raise GraphError(f"queries are not (source, destination) pairs in [0, {n}): {exc}") from None
+    pairs = node_indices(queries, n, "query endpoints")
     if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
         raise GraphError(f"queries of shape {pairs.shape} are not (source, destination) pairs")
     pairs = pairs.reshape(-1, 2)
-    outside = np.any((pairs < 0) | (pairs >= n), axis=1)
-    if outside.any():
-        raise GraphError(f"query {pairs[outside.argmax()].tolist()} has an endpoint outside [0, {n})")
     if np.any(pairs[:, 0] == pairs[:, 1]):
         raise GraphError("query endpoints must differ")
     ind = np.zeros((len(pairs), n, NODE_FEATURES))
@@ -379,11 +374,7 @@ def _model_from_document(doc) -> GnnModel:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('version')!r}")
     if doc.get("node_feature_width") != NODE_FEATURES or doc.get("edge_feature_width") != EDGE_FEATURES:
         raise CheckpointError("feature widths do not match this implementation")
-    config = GnnConfig(
-        hidden=int(doc["hidden"]),
-        rounds=int(doc["rounds"]),
-        share_processor=bool(doc["share_processor"]),
-    )
+    config = GnnConfig(hidden=doc["hidden"], rounds=doc["rounds"], share_processor=doc["share_processor"])
     expected = config.parameter_shapes()
     stored = doc.get("params")
     if not isinstance(stored, dict):

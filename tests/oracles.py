@@ -46,6 +46,39 @@ def enumerate_simple_paths(n_nodes, senders, receivers, u, v):
     return paths
 
 
+def strongly_connected(n_nodes, senders, receivers):
+    """Whether every node reaches every other: depth-first search from node
+    0 along the links and against them."""
+
+    def reaches_all(heads_of):
+        seen = {0}
+        stack = [0]
+        while stack:
+            for v in heads_of[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen) == n_nodes
+
+    fwd = [[] for _ in range(n_nodes)]
+    rev = [[] for _ in range(n_nodes)]
+    for s, r in zip(senders, receivers):
+        fwd[s].append(r)
+        rev[r].append(s)
+    return reaches_all(fwd) and reaches_all(rev)
+
+
+def first_duplicate_link(senders, receivers):
+    """The ``(sender, receiver)`` of the first link whose pair an earlier
+    link already has, or None."""
+    pairs = set()
+    for key in zip(senders, receivers):
+        if key in pairs:
+            return key
+        pairs.add(key)
+    return None
+
+
 def min_path_cost(n_nodes, senders, receivers, weights, u, v):
     """Cheapest simple-path cost u -> v by exhaustive enumeration."""
     paths = enumerate_simple_paths(n_nodes, senders, receivers, u, v)

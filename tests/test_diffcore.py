@@ -459,6 +459,8 @@ class TestMlpLn:
             ([(edges, None), (nodes, [0]), (nodes, [1])], w1, b2, w2, b2, gain, bias),
             ([(edges, None), (nodes, [0]), (nodes, [1])], w1, b1, w2.data.T, b2, gain, bias),
             ([(edges, None), (nodes, [0]), (nodes, [1])], w1, b1, w2, b2, b1, bias),
+            ([(edges, None), (nodes, [0.0]), (nodes, [1])], w1, b1, w2, b2, gain, bias),
+            ([(edges, None), (nodes, [0]), (nodes, [True])], w1, b1, w2, b2, gain, bias),
         ]
         for args in bad:
             with pytest.raises(dc.ShapeMismatchError):
@@ -594,7 +596,9 @@ class TestGatherAndSegments:
         y = dc.index_rows(dc.Tensor(x), idx)
         for j, i in enumerate(idx):
             assert np.array_equal(y.data[:, j, :], x[:, i, :])
-        for bad in ([-1, 0], [0, 5]):  # a negative index must not wrap around
+        # a negative index must not wrap around, and a float or bool one
+        # must not be cast to row 0, 1 or 2
+        for bad in ([-1, 0], [0, 5], [0.7, 2.2], [True, False], np.array([1.0])):
             with pytest.raises(dc.ShapeMismatchError):
                 dc.index_rows(dc.Tensor(x), bad)
 
@@ -607,9 +611,12 @@ class TestGatherAndSegments:
         for j, i in enumerate(idx):
             expect[:, i, :] += x[:, j, :]
         assert np.allclose(y.data, expect, atol=1e-15)
-        for bad in ([1, 1, 0, 4, 4, 4, -1], [1, 1, 0, 5, 4, 4, 0]):  # -1 must not land in bucket 4
+        # -1 must not land in bucket 4, nor 1.5 in bucket 1
+        for bad in ([1, 1, 0, 4, 4, 4, -1], [1, 1, 0, 5, 4, 4, 0], [1.5, 1, 0, 4, 4, 4, 0], [True] * 7):
             with pytest.raises(dc.ShapeMismatchError):
                 dc.segment_sum(dc.Tensor(x), np.array(bad), 5)
+        with pytest.raises(dc.ShapeMismatchError):
+            dc.segment_sum(dc.Tensor(x[:, :3]), [0.5, 1.5, 1.2], 2)
 
     def test_empty_segment_is_zero(self):
         x = np.ones((4, 2))

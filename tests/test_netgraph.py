@@ -8,7 +8,14 @@ from routegrad import exact_routing as xr
 from routegrad import netgraph as ng
 from routegrad import surrogate as sg
 
-from oracles import accumulate_loads, enumerate_simple_paths, pair_index, walked_routing_matrix
+from oracles import (
+    accumulate_loads,
+    enumerate_simple_paths,
+    first_duplicate_link,
+    pair_index,
+    strongly_connected,
+    walked_routing_matrix,
+)
 
 
 def triangle():
@@ -76,17 +83,21 @@ class TestBuildGraph:
         assert g.receivers.tolist() == [1, 0] and g.senders.tolist() == [0, 1]
 
     def test_fractional_indices_rejected(self):
-        # truncating them would build another topology without an error
+        # truncating them would build another topology without an error,
+        # and integral floats follow the same one rule as every index
         for n, receivers, senders in [
             (2, [1.7, 0.2], [0.9, 1.4]),
             (2.9, [1, 0], [0, 1]),
             (2, [1.0, np.nan], [0.0, 1.0]),
             (2, [1, 0], [0.0, np.inf]),
             (float("nan"), [1, 0], [0, 1]),
+            (2.0, [1, 0], [0, 1]),
+            (2, [1.0, 0.0], [0, 1]),
+            (True, [], []),
         ]:
             with pytest.raises(ng.GraphError):
-                ng.Graph(n, receivers, senders, [1.0, 1.0])
-        g = ng.Graph(2.0, [1.0, 0.0], np.array([0, 1], dtype=np.uint8), [1.0, 1.0])
+                ng.Graph(n, receivers, senders, [1.0] * len(receivers))
+        g = ng.Graph(np.int32(2), [1, 0], np.array([0, 1], dtype=np.uint8), [1.0, 1.0])
         assert g.node_count == 2 and type(g.node_count) is int
         assert g.receivers.tolist() == [1, 0] and g.senders.dtype == np.int64
 
@@ -101,6 +112,96 @@ class TestBuildGraph:
         del g
         gc.collect()
         assert ref() is None
+
+
+    def test_checks_match_oracles_on_random_digraphs(self):
+        # the vectorized duplicate and connectivity checks against the
+        # set scan and the depth-first search they replaced
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            pairs = ng.ordered_pairs(n)
+            links = pairs[rng.permutation(len(pairs))[: rng.integers(0, len(pairs) + 1)]]
+            for _ in range(rng.integers(0, 3) if len(links) else 0):  # repeat a link later on
+                k = rng.integers(len(links))
+                links = np.insert(links, rng.integers(k + 1, len(links) + 1), links[k], axis=0)
+            senders, receivers = links.T
+            m = len(links)
+            duplicate = first_duplicate_link(senders.tolist(), receivers.tolist())
+            connected = strongly_connected(n, senders.tolist(), receivers.tolist())
+            if duplicate is not None:
+                with pytest.raises(ng.DuplicateEdgeError, match=f"link {duplicate[0]}->{duplicate[1]}$"):
+                    ng.Graph(n, receivers, senders, np.ones(m))
+            elif not connected:
+                with pytest.raises(ng.NotStronglyConnectedError):
+                    ng.Graph(n, receivers, senders, np.ones(m))
+            else:
+                assert ng.Graph(n, receivers, senders, np.ones(m)).edge_count == m
+
+
+# Every entry point that takes a node index applies the one rule of
+# ``netgraph.node_indices``; each call below gives ``x`` where node 1 of
+# ``triangle_directed`` belongs.
+def _graph_end(x):
+    ng.Graph(3, [x, 2, 2, 0, 1, 0], [0, 1, 0, 1, 2, 2], np.ones(6))
+
+
+def _build_graph_end(x):
+    ng.build_graph(3, [(0, x, 1.0, False), (1, 2, 1.0, False), (0, 2, 1.0, False)])
+
+
+def _source(x):
+    xr.shortest_path_tree(triangle_directed(), np.ones(6), x)
+
+
+def _query(x):
+    sg.query_indicators(triangle_directed(), [(0, x)])
+
+
+def _path_end(x):
+    ng.validate_path_vector(triangle_directed(), np.eye(6)[0], 0, x)
+
+
+NODE_ENTRY_POINTS = [_graph_end, _build_graph_end, _source, _query, _path_end]
+
+
+@pytest.mark.parametrize("entry", NODE_ENTRY_POINTS, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize(
+    "x",
+    [True, np.True_, 1.0, np.float64(1.0), 0.5, -1, 3, 2**70],
+    ids=["bool", "np_bool", "float", "np_float64", "half", "negative", "n", "past_int64"],
+)
+def test_every_entry_point_rejects_the_same_indices(entry, x):
+    with pytest.raises(ng.GraphError):
+        entry(x)
+
+
+@pytest.mark.parametrize("entry", NODE_ENTRY_POINTS, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("x", [1, np.int32(1), np.uint8(1)], ids=["int", "np_int32", "np_uint8"])
+def test_every_entry_point_accepts_integer_indices(entry, x):
+    entry(x)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0, [1]], [[0, 1], [2]], ["1"], None, np.array([True, False]), np.array([1.0]), np.array([2**64 - 1], dtype=np.uint64)],
+    ids=["ragged", "ragged_rows", "string", "none", "bool_array", "float_array", "uint64_past_int64"],
+)
+def test_node_indices_rejects_non_indices(values):
+    with pytest.raises(ng.GraphError):
+        ng.node_indices(values, 3, "nodes")
+
+
+def test_node_indices_returns_a_private_int64_copy():
+    values = np.array([[2, 0], [1, 2]], dtype=np.int32)
+    out = ng.node_indices(values, 3, "nodes")
+    assert out.dtype == np.int64 and out.tolist() == values.tolist()
+    values[0, 0] = 0
+    assert out[0, 0] == 2
+    assert ng.node_indices(np.int64(2), 3, "node").shape == ()
+    for empty in ([], np.zeros(0, dtype=object)):
+        out = ng.node_indices(empty, 3, "nodes")
+        assert out.dtype == np.int64 and out.shape == (0,)
 
 
 class TestPairEnumeration:

@@ -629,6 +629,16 @@ class TestCheckpoint:
                 sg.load_checkpoint(path)
 
     @pytest.mark.parametrize(
+        "kwargs",
+        [{"hidden": 2.5}, {"rounds": True}, {"rounds": "2"}, {"share_processor": "false"}],
+        ids=["float_hidden", "bool_rounds", "string_rounds", "string_share"],
+    )
+    def test_config_rejects_non_integer_sizes(self, kwargs):
+        # a float width would reach the parameter shapes as a float
+        with pytest.raises(ng.GraphError):
+            sg.GnnConfig(**kwargs)
+
+    @pytest.mark.parametrize(
         "corrupt",
         [
             lambda doc: doc.pop("hidden"),
@@ -637,8 +647,16 @@ class TestCheckpoint:
             lambda doc: doc["params"]["dec_l2_b"].update(data=["x"]),
             lambda doc: doc["params"].update(dec_l2_b=[0.0]),
             lambda doc: doc["params"].update(dec_l2_b={"data": [0.0]}),
+            lambda doc: doc.update(hidden=doc["hidden"] + 0.7),
+            lambda doc: doc.update(rounds=str(doc["rounds"])),
+            lambda doc: doc.update(rounds=True),
+            lambda doc: doc.update(share_processor="false"),
+            lambda doc: doc.update(share_processor=0),
         ],
-        ids=["no_hidden", "zero_hidden", "data_length", "non_numeric", "entry_not_object", "no_shape"],
+        ids=[
+            "no_hidden", "zero_hidden", "data_length", "non_numeric", "entry_not_object", "no_shape",
+            "float_hidden", "string_rounds", "bool_rounds", "string_share", "int_share",
+        ],
     )
     def test_malformed_document_rejected(self, small_model, tmp_path, corrupt):
         import json
