@@ -15,7 +15,8 @@ and the inverse deviations, a quotient or matrix product an operand
 only when the other side needs its gradient, a dense layer its
 activations only when its weights need a gradient, binary cross-entropy
 the clamped probabilities and the labels, and a row map (``map_rows``)
-its part tapes and their row ranges.  The fused MLP block (``mlp_ln``)
+its part tapes, their row ranges and the uids of the tensors the parts
+read from outside them.  The fused MLP block (``mlp_ln``)
 keeps what its unfused chain would: the standardized values, the
 inverse deviations and a boolean ReLU mask, its inputs only when its
 first weights need a gradient, and its ReLU output, in place of the
@@ -131,11 +132,15 @@ class Tape:
     """Records operations for one reverse-mode gradient computation.
 
     Use as a context manager; ops run inside the block are recorded (on
-    the innermost active tape only).  A tape records on the one thread
-    that entered it.  Its reverse pass runs on the thread that calls
-    :meth:`gradient`, except that a :func:`map_rows` op pulls its part
-    tapes back on the pool.  The reverse pass drops each op as it runs
-    it, so a tape gives one gradient.
+    the innermost active tape only), each as its output uids, the uids of
+    its tracked inputs and a backward closure.  The uids a tape saw but
+    no op of it produced are what its ops read from outside; a
+    :func:`map_rows` op takes them off its part tapes as its inputs.  A
+    tape records on the one thread that entered it.  Its reverse pass
+    runs on the thread that calls :meth:`gradient`, except that a
+    :func:`map_rows` op pulls its part tapes back on the pool.  The
+    reverse pass drops each op as it runs it, so a tape gives one
+    gradient.
     """
 
     def __init__(self):
@@ -154,11 +159,11 @@ class Tape:
         assert popped is self
         return False
 
-    def _record(self, outs, grad_inputs: list[Tensor], backward) -> None:
+    def _record(self, outs, input_uids, backward) -> None:
         uids = tuple(o._uid for o in outs)
         self._ops.append((uids, backward))
         self._seen.update(uids)
-        self._seen.update(t._uid for t in grad_inputs)
+        self._seen.update(input_uids)
 
     def gradient(self, output: Tensor, inputs):
         """Gradients of a recorded scalar with respect to ``inputs``.
@@ -236,7 +241,7 @@ def _finish(out_data, grad_inputs: list[Tensor], make_backward) -> Tensor:
     out = Tensor(out_data, requires_grad=bool(tracked))
     tape = _active_tape()
     if tape is not None and tracked:
-        tape._record((out,), tracked, make_backward(out))
+        tape._record((out,), [t._uid for t in tracked], make_backward(out))
     return out
 
 
@@ -324,75 +329,69 @@ def reshape(a, shape) -> Tensor:
 
 def _row_stack(outs) -> np.ndarray:
     """``np.concatenate`` of the outputs' rows, which must agree past axis 0."""
-    if any(o.ndim == 0 or o.shape[1:] != outs[0].shape[1:] for o in outs):
-        raise ShapeMismatchError(f"map_rows: part shapes {[o.shape for o in outs]}")
+    if any(not isinstance(o, Tensor) or o.ndim == 0 or o.shape[1:] != outs[0].shape[1:] for o in outs):
+        shapes = [o.shape if isinstance(o, Tensor) else type(o).__name__ for o in outs]
+        raise ShapeMismatchError(f"map_rows: part outputs {shapes} do not stack by rows")
     return np.concatenate([o.data for o in outs], axis=0)
 
 
-def _as_outputs(result) -> tuple:
-    """A part's result in :func:`map_rows` as a tuple of Tensors."""
-    return tuple(as_tensor(r) for r in result) if isinstance(result, tuple) else (as_tensor(result),)
-
-
-def map_rows(fn, parts, wrt):
+def map_rows(fn, parts):
     """Row concatenation of ``fn(p)`` over ``parts``, pulled back in parallel.
 
     Args:
-        fn: Maps one part to a Tensor of at least one axis, or to a tuple
-            of such Tensors of one length for every part; each output
-            must agree across the parts on every axis past the first.
+        fn: Maps one part to a tuple of Tensors of at least one axis, of
+            one length for every part; each output must agree across the
+            parts on every axis past the first.
         parts: Non-empty sequence of arguments for ``fn``; they are not
             differentiated.
-        wrt: Every tracked tensor ``fn`` reads from outside its part.
 
     Returns:
-        The row-stacked Tensor, or, when ``fn`` returns tuples, the tuple
-        of row-stacked Tensors, one per output.
+        The tuple of row-stacked Tensors, one per output.
 
-    With no active tape, or when no ``wrt`` tensor requires a gradient,
-    this is the concatenation and nothing more.  Otherwise each ``fn(p)``
-    runs on the calling thread under a tape of its own, and one op with
-    every stacked output is recorded on the active tape.  Its backward
-    seeds each part tape with its row slices of all the output gradients,
-    pulls the parts back on a pool of :data:`POOL_WORKERS` threads, and
-    sums each ``wrt`` gradient over the parts in reverse part order, the
-    order one tape over every part would add them in.  With one worker,
-    or when the backward already runs on a pool thread (a nested
-    ``map_rows``), the parts are pulled back inline.
+    With no active tape this is the concatenation and nothing more.
+    Otherwise each ``fn(p)`` runs on the calling thread under a tape of
+    its own, and the tracked tensors a part read or returned but did not
+    produce (the tensors from outside it, and leaves it created) become
+    the inputs of one op, with every stacked output, recorded on the
+    active tape.  Its backward seeds each part tape with its row slices of
+    all the output gradients, pulls the parts back on a pool of
+    :data:`POOL_WORKERS` threads, and sums each input's gradient over the
+    parts in reverse part order, the order one tape over every part would
+    add them in.  With one worker, or when the backward already runs on a
+    pool thread (a nested ``map_rows``), the parts are pulled back inline.
 
     Raises:
-        ShapeMismatchError: there are no parts, their output counts
-            differ, or their outputs do not stack by rows.
-        DiffcoreError: a part reads a tracked tensor that is not in
-            ``wrt``, whose gradient would otherwise be dropped.
+        ShapeMismatchError: there are no parts, a part returns no tuple,
+            their output counts differ, or their outputs do not stack by
+            rows.
+        DiffcoreError: a part reads a tracked tensor another part
+            produced; its gradient could not reach that part.
     """
     tape = _active_tape()
-    tracked = [t for t in wrt if t.requires_grad]
-    taping = tape is not None and bool(tracked)
-    wanted = {t._uid for t in tracked}
-    results, tapes, read = [], [], set()
+    results, tapes = [], []
     for p in parts:
-        if not taping:
+        if tape is None:
             results.append(fn(p))
             continue
         with Tape() as part_tape:
             results.append(fn(p))
-        # the tensors the part read but did not produce
-        foreign = part_tape._seen.difference(*(uids for uids, _ in part_tape._ops))
-        if foreign - wanted:
-            raise DiffcoreError("map_rows: a part reads a tracked tensor that is not in wrt")
-        read |= foreign
         tapes.append(part_tape)
-    outs = [_as_outputs(r) for r in results]
-    if not outs or any(len(o) != len(outs[0]) for o in outs):
-        raise ShapeMismatchError(f"map_rows: part output counts {[len(o) for o in outs]}")
-    columns = list(zip(*outs))
-    if tape is not None and not taping and any(o.requires_grad for o in itertools.chain(*outs)):
-        raise DiffcoreError("map_rows: a part reads a tracked tensor that is not in wrt")
+    if not results or any(not isinstance(r, tuple) or len(r) != len(results[0]) for r in results):
+        counts = [len(r) if isinstance(r, tuple) else type(r).__name__ for r in results]
+        raise ShapeMismatchError(f"map_rows: part output counts {counts}; each part returns a tuple of one length")
+    columns = list(zip(*results))
     stacked = tuple(
-        Tensor(_row_stack(column), requires_grad=taping and any(o.requires_grad for o in column))
+        Tensor(_row_stack(column), requires_grad=tape is not None and any(o.requires_grad for o in column))
         for column in columns
     )
+    # per part, the uids its own ops produced; every other tracked tensor
+    # it read or returned came from outside it
+    owns = [set().union(*(uids for uids, _ in t._ops)) for t in tapes]
+    read = set().union(
+        *((t._seen | {o._uid for o in r if o.requires_grad}) - own for t, r, own in zip(tapes, results, owns))
+    )
+    if read & set().union(*owns):
+        raise DiffcoreError("map_rows: a part reads a tracked tensor another part produced")
     if any(o.requires_grad for o in stacked):
         offsets = [[0, *itertools.accumulate(o.shape[0] for o in column)] for column in columns]
         # per part, in reverse: its tape and, per output of the part that
@@ -422,8 +421,8 @@ def map_rows(fn, parts, wrt):
                 del grads
             return list(totals.items())
 
-        tape._record(stacked, [t for t in tracked if t._uid in read], backward)
-    return stacked if isinstance(results[0], tuple) else stacked[0]
+        tape._record(stacked, read, backward)
+    return stacked
 
 
 # Threads that pull map_rows parts back: one per CPU this process may run
@@ -446,7 +445,7 @@ def _pull_back_parts(jobs):
 
     The jobs go to the pool in order, at most ``POOL_WORKERS + 1`` of
     them submitted and not yet yielded at a time: each finished part
-    holds a gradient for every ``wrt`` tensor it read, and the one job
+    holds a gradient for every outside tensor it read, and the one job
     beyond the workers is there for a worker that finishes before the
     part ahead of it, which would otherwise wait idle until that part is
     yielded.  The jobs run inline instead when there is one worker or the
@@ -556,7 +555,7 @@ def affine_sum(xs, weights, bias=None) -> Tensor:
     weights = as_tensor(weights)
     bias = None if bias is None else as_tensor(bias)
     widths = [x.shape[-1] for x in xs]
-    if weights.ndim != 2 or sum(widths) != weights.shape[1]:
+    if not xs or weights.ndim != 2 or sum(widths) != weights.shape[1]:
         raise ShapeMismatchError(
             f"affine_sum: input widths {widths} do not tile weights {weights.shape}"
         )

@@ -164,16 +164,6 @@ def _mlp_ln(terms, mt, prefix):
     return dc.mlp_ln(terms, *(mt[f"{prefix}_{name}"] for name in names))
 
 
-def _edge_update(edges, nodes, g: Graph, mt, prefix):
-    """Edge MLP over ``[edges, nodes[receivers], nodes[senders]]``.
-
-    The first layer's receiver and sender column blocks multiply the
-    ``[n_q, N, H]`` node latents, and only the projected rows are gathered
-    onto the links.
-    """
-    return _mlp_ln([(edges, None), (nodes, g.receivers), (nodes, g.senders)], mt, prefix)
-
-
 def _decode(edges, mt) -> dc.Tensor:
     h = dc.relu(dc.affine(edges, mt["dec_l1_w"], mt["dec_l1_b"]))
     p = dc.sigmoid(dc.affine(h, mt["dec_l2_w"], mt["dec_l2_b"]))
@@ -240,8 +230,10 @@ def forward(
     so that they share the pullbacks evenly, but never past one chunk
     per query.  :func:`diffcore.map_rows` joins the chunks: their
     forwards run in turn on the calling thread, and on a tape they are
-    pulled back in parallel.  Queries do not interact, so each row is the
-    one a single batch of every query gives.
+    pulled back in parallel, into whatever tracked tensors the chunks
+    read (the shared edge block, and the parameters when they are
+    tracked).  Queries do not interact, so each row is the one a single
+    batch of every query gives.
 
     Raises:
         GraphError: ``weights`` is not ``[n_e]`` or has a value outside
@@ -267,7 +259,6 @@ def forward(
     outs = dc.map_rows(
         lambda rows: _forward_chunk(g, edges, rows, model, mt, per_step),
         np.array_split(ind, chunks),
-        [edges, *mt.values()],
     )
     return outs[-1], (list(outs) if per_step else [])
 
@@ -283,7 +274,7 @@ def _forward_chunk(g: Graph, edges, indicators: np.ndarray, model: GnnModel, mt,
     for t in range(rounds):
         last = t == rounds - 1
         prefix = model.block_prefix(t)
-        edges = _edge_update(edges, nodes, g, mt, f"{prefix}_edge")
+        edges = _mlp_ln([(edges, None), (nodes, g.receivers), (nodes, g.senders)], mt, f"{prefix}_edge")
         # the final node update feeds nothing the decoder can see; the
         # aggregated block is passed inline so that it is freed as soon as
         # the layer reading it returns
@@ -361,7 +352,7 @@ def load_checkpoint(path) -> GnnModel:
         return _model_from_document(doc)
     except CheckpointError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
 
 
@@ -388,7 +379,11 @@ def _model_from_document(doc) -> GnnModel:
         shape = tuple(entry["shape"])
         if shape != expected[name]:
             raise CheckpointError(f"{name}: stored shape {shape} != expected {expected[name]}")
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+        data = entry["data"]
+        # a cast would read "0.5" as 0.5, true as 1.0 and [[0.5]] as a row
+        if not isinstance(data, list) or not all(type(x) in (int, float) for x in data):
+            raise CheckpointError(f"{name}: data is not a flat list of numbers")
+        arr = np.array(data, dtype=np.float64).reshape(shape)
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"{name}: non-finite values")
         params[name] = arr

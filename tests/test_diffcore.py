@@ -109,6 +109,13 @@ class TestAffine:
 
 
 class TestAffineSum:
+    def test_no_inputs_rejected(self):
+        # a [3, 0] weight is tiled by no inputs at all, which left no
+        # product to sum: a NaN scalar, or an AttributeError with a bias
+        for bias in (None, np.zeros(3)):
+            with pytest.raises(dc.ShapeMismatchError, match="do not tile"):
+                dc.affine_sum([], np.zeros((3, 0)), bias)
+
     def test_matches_concat(self):
         rng = np.random.default_rng(3)
         x1 = rng.normal(size=(6, 3))
@@ -156,7 +163,7 @@ class TestAffineSum:
 
 def _part_term(h, rows, w):
     """One part of a row map: dense, ReLU and a sigmoid over gathered rows."""
-    return dc.sigmoid(dc.relu(dc.affine(dc.index_rows(h, rows), w)))
+    return (dc.sigmoid(dc.relu(dc.affine(dc.index_rows(h, rows), w))),)
 
 
 def _failing_copy(x: dc.Tensor) -> dc.Tensor:
@@ -176,10 +183,10 @@ class TestMapRows:
     def test_values_and_part_shapes(self, taped):
         a, b = np.arange(6.0).reshape(3, 2), -np.ones((1, 2))
         x = dc.Tensor(np.zeros(2), requires_grad=True)
-        wrt = [x] if taped else []
         with dc.Tape() if taped else contextlib.nullcontext():
-            y = dc.map_rows(lambda p: dc.add(p, x), [a, b], wrt)
+            (y,) = dc.map_rows(lambda p: (dc.add(p, x),), [a, b])
             assert np.array_equal(y.data, np.concatenate([a, b]))
+            assert y.requires_grad == taped
             bad = [
                 [np.zeros((2, 3)), np.zeros((1, 4))],
                 [np.zeros((2, 3, 1)), np.zeros((2, 3))],
@@ -188,23 +195,27 @@ class TestMapRows:
             ]
             for parts in bad:
                 with pytest.raises(dc.ShapeMismatchError):
-                    dc.map_rows(lambda p: dc.add(p, 0.0), parts, wrt)
+                    dc.map_rows(lambda p: (dc.add(p, 0.0),), parts)
+            # a part returns a tuple of Tensors, and nothing else
+            for fn in (lambda p: dc.add(p, x), lambda p: (p,), lambda p: [dc.Tensor(p)]):
+                with pytest.raises(dc.ShapeMismatchError):
+                    dc.map_rows(fn, [a, b])
 
     def test_several_outputs_stack_output_by_output(self):
         a, b = np.arange(6.0).reshape(3, 2), -np.ones((1, 2))
-        y, z = dc.map_rows(lambda p: (dc.Tensor(p), dc.Tensor(p[:1] * 2.0)), [a, b], [])
+        y, z = dc.map_rows(lambda p: (dc.Tensor(p), dc.Tensor(p[:1] * 2.0)), [a, b])
         assert np.array_equal(y.data, np.concatenate([a, b]))
         assert np.array_equal(z.data, np.concatenate([a[:1], b[:1]]) * 2.0)
-        (alone,) = dc.map_rows(lambda p: (dc.Tensor(p),), [a, b], [])
+        (alone,) = dc.map_rows(lambda p: (dc.Tensor(p),), [a, b])
         assert np.array_equal(alone.data, y.data)
         with pytest.raises(dc.ShapeMismatchError, match="output counts"):
-            dc.map_rows(lambda p: (dc.Tensor(p),) * len(p), [a, b], [])
+            dc.map_rows(lambda p: (dc.Tensor(p),) * len(p), [a, b])
 
     @staticmethod
     def _several_outputs(x, r, w):
         """Three outputs of one part: two of its rows differ, and the first
         is also the third, so two slices seed one part output."""
-        y = _part_term(x, r, w)
+        (y,) = _part_term(x, r, w)
         return y, dc.sigmoid(dc.affine(dc.index_rows(x, r[:1]), w)), y
 
     @staticmethod
@@ -212,9 +223,9 @@ class TestMapRows:
         w = dc.Tensor(w0, requires_grad=True)
         x = dc.Tensor(x0, requires_grad=True)
         with dc.Tape() as tape:
-            ys = dc.map_rows(lambda r: fn(x, r, w), rows, [w, x])
+            ys = dc.map_rows(lambda r: fn(x, r, w), rows)
             out = 0.0
-            for k, y in enumerate(ys if isinstance(ys, tuple) else [ys]):
+            for k, y in enumerate(ys):
                 out = dc.add(out, total(y, np.cos(np.arange(y.size) + k)))
         return tape.gradient(out, [w, x])
 
@@ -281,21 +292,54 @@ class TestMapRows:
         monkeypatch.setattr(dc, "POOL_WORKERS", 2)
         x = dc.Tensor(np.arange(1.0, 7.0).reshape(3, 2), requires_grad=True)
         with dc.Tape() as tape:
-            y = dc.map_rows(lambda k: _failing_copy(x) if k == 2 else dc.add(x, float(k)), range(4), [x])
+            (y,) = dc.map_rows(lambda k: (_failing_copy(x) if k == 2 else dc.add(x, float(k)),), range(4))
             out = total(y)
         with pytest.raises(FloatingPointError, match="part backward failed"):
             tape.gradient(out, x)
         with dc.Tape() as tape:
-            out = total(dc.map_rows(lambda k: dc.add(x, float(k)), range(4), [x]))
+            out = total(dc.map_rows(lambda k: (dc.add(x, float(k)),), range(4))[0])
         assert np.array_equal(tape.gradient(out, x), np.full((3, 2), 4.0))
 
-    def test_unlisted_tracked_tensor_raises(self):
+    @pytest.mark.parametrize("returned", [False, True], ids=["read", "returned"])
+    def test_part_reading_another_parts_output_raises(self, returned):
+        # the outer tape would drop the gradient that reaches the first
+        # part's output through the second part
         x = dc.Tensor(np.ones((2, 3)), requires_grad=True)
-        other = dc.Tensor(np.ones(3), requires_grad=True)
+        first = []
+
+        def part(k):
+            if not k:
+                first.append(dc.add(x, 1.0))
+                return (first[0],)
+            return (first[0],) if returned else (dc.add(first[0], x),)
+
         with dc.Tape():
-            for wrt in ([], [other]):
-                with pytest.raises(dc.DiffcoreError, match="not in wrt"):
-                    dc.map_rows(lambda k: dc.add(x, other if k else 0.0), range(2), wrt)
+            with pytest.raises(dc.DiffcoreError, match="another part produced"):
+                dc.map_rows(part, range(2))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_leaf_created_in_part_gets_its_gradient(self, monkeypatch, workers):
+        # a leaf made inside a part is read or returned by it without being
+        # produced by one of its ops, so it is an input of the joining op
+        monkeypatch.setattr(dc, "POOL_WORKERS", workers)
+        x = dc.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        leaves = []
+
+        def part(k):
+            leaves.append(dc.Tensor(np.full((1, 3), k + 1.0), requires_grad=True))
+            return (dc.add(x, leaves[-1]), leaves[-1]) if k else (x, leaves[-1])
+
+        with dc.Tape() as tape:
+            y, z = dc.map_rows(part, range(3))
+            out = dc.add(total(y, np.arange(18.0)), total(z, np.cos(np.arange(9.0))))
+        grads = tape.gradient(out, [x, *leaves])
+        weights = np.arange(18.0).reshape(6, 3)
+        assert np.array_equal(grads[0], weights[0:2] + weights[2:4] + weights[4:6])
+        for k, g in enumerate(grads[1:]):
+            expect = np.cos(np.arange(9.0)).reshape(3, 3)[k]
+            if k:
+                expect = weights[2 * k : 2 * k + 2].sum(axis=0) + expect
+            assert np.array_equal(g, expect.reshape(1, 3))
 
     def test_nested_map_rows_completes(self):
         # each outer part's pullback runs on a pool thread and pulls its
@@ -328,17 +372,17 @@ rows = [rng.integers(0, 5, k) for k in (3, 1, 4, 2, 5, 3)]
 
 
 def term(r):
-    return dc.sigmoid(dc.relu(dc.affine(dc.index_rows(x, r), w)))
+    return (dc.sigmoid(dc.relu(dc.affine(dc.index_rows(x, r), w))),)
 
 
 def gradient(fn, parts):
     with dc.Tape() as tape:
-        y = dc.map_rows(fn, parts, [w, x])
+        (y,) = dc.map_rows(fn, parts)
         total = dc.reshape(dc.matmul(dc.reshape(y, (1, y.size)), np.ones((y.size, 1))), ())
     return tape.gradient(total, [w, x])
 
 
-nested = gradient(lambda pair: dc.map_rows(term, pair, [w, x]), [rows[:2], rows[2:4], rows[4:]])
+nested = gradient(lambda pair: dc.map_rows(term, pair), [rows[:2], rows[2:4], rows[4:]])
 flat = gradient(term, rows)
 assert all(np.allclose(a, b, rtol=1e-13, atol=1e-15) for a, b in zip(nested, flat))
 """
@@ -834,7 +878,7 @@ def test_every_primitive_gradient_matches_fd(seed):
         # wrong part shows
         (
             lambda t: total(
-                dc.sigmoid(dc.map_rows(lambda part: part(t), _row_map_parts(W), [t])), np.cos(np.arange(32.0))
+                dc.sigmoid(dc.map_rows(lambda part: (part(t),), _row_map_parts(W))[0]), np.cos(np.arange(32.0))
             ),
             x,
         ),
@@ -875,7 +919,7 @@ UNREAD_INPUT_OPS = [
     ),
     ("segment_sum", lambda h: dc.segment_sum(h, np.array([1, 0, 1]), 2)),
     # h passed through twice, so two row slices of one gradient reach it
-    ("map_rows", lambda h: dc.map_rows(lambda part: part(h), [*_row_map_parts(_C[:1]), lambda h: h], [h])),
+    ("map_rows", lambda h: dc.map_rows(lambda part: (part(h),), [*_row_map_parts(_C[:1]), lambda h: h])[0]),
     # keeps the clamped probabilities, a new array, and not h
     ("binary_cross_entropy", lambda h: dc.binary_cross_entropy(h, _LABELS)),
     ("add", lambda h: dc.add(h, _C)),

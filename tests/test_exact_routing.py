@@ -321,6 +321,28 @@ def test_in_link_table_at_in_degree_extremes(topology, weights):
     assert_bitwise_equal_to_oracles(g, WEIGHT_SETS[weights](rng, g), rng.uniform(0.0, 10.0, g.pair_count))
 
 
+def out_links_toward(g, P, t):
+    """Per node, how many links the ``routing_matrix`` rows into ``t`` leave it by."""
+    into_t = ng.ordered_pairs(g.node_count)[:, 1] == t
+    return np.bincount(g.senders[P[into_t].any(axis=0)], minlength=g.node_count)
+
+
+# "tenths" is left out: its sums are inexact, so the part of a path into t
+# after a node need not be that node's own path into t, and the routes into
+# t can leave a node by two links
+@pytest.mark.parametrize("weights", sorted(set(WEIGHT_SETS) - {"tenths"}))
+@pytest.mark.parametrize("n_nodes", [5, 12, 24, 50])
+def test_routes_into_each_destination_form_an_in_tree(n_nodes, weights):
+    # per-destination next-hop labels need this: every node but the
+    # destination leaves toward it by exactly one link, the destination by none
+    rng = np.random.default_rng(100 + n_nodes)
+    for _ in range(5):
+        g = ring_with_chords(rng, n_nodes, chords=n_nodes * 4 // 5)
+        P = xr.routing_matrix(g, WEIGHT_SETS[weights](rng, g))
+        for t in range(n_nodes):
+            assert np.array_equal(out_links_toward(g, P, t), np.arange(n_nodes) != t), f"destination {t}"
+
+
 class TestWeightCeiling:
     """Above W_MAX, 1e14 + 1e-3 == 1e14 lets the 0<->1 links close an
     equal-cost cycle: the predecessors of 0 and 1 point at each other,

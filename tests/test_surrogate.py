@@ -652,10 +652,16 @@ class TestCheckpoint:
             lambda doc: doc.update(rounds=True),
             lambda doc: doc.update(share_processor="false"),
             lambda doc: doc.update(share_processor=0),
+            lambda doc: doc["params"]["dec_l2_b"].update(data=["0.5"]),
+            lambda doc: doc["params"]["dec_l2_b"].update(data=[True]),
+            lambda doc: doc["params"]["dec_l2_b"].update(data=[[0.5]]),
+            lambda doc: doc["params"]["dec_l2_b"].update(data=0.5),
+            lambda doc: doc["params"]["dec_l2_b"].update(data=[10**400]),
         ],
         ids=[
             "no_hidden", "zero_hidden", "data_length", "non_numeric", "entry_not_object", "no_shape",
             "float_hidden", "string_rounds", "bool_rounds", "string_share", "int_share",
+            "string_number_data", "bool_data", "nested_data", "scalar_data", "huge_int_data",
         ],
     )
     def test_malformed_document_rejected(self, small_model, tmp_path, corrupt):
