@@ -155,6 +155,23 @@ def sweep_link_loads(n_nodes, senders, receivers, weights, demands):
     return loads
 
 
+def rank_sweep_carries(senders, dist, pred, carry):
+    """Carries pushed down many shortest-path trees, one rank at a time.
+
+    Row i of the ``[sources, n]`` arrays is one tree: its path costs, its
+    predecessor links (``-1`` at the source) and each node's starting
+    carry.  Per row, every node but the source (distance 0) goes in
+    descending distance, the higher index first among equals, and adds
+    its carry into its predecessor link's sender, one scalar addition at
+    a time.  Returns the new carries; ``carry`` is unchanged.
+    """
+    carry = np.array(carry, dtype=np.float64)
+    for i in range(carry.shape[0]):
+        for v in np.argsort(dist[i], kind="stable")[:0:-1]:
+            carry[i, senders[pred[i, v]]] += carry[i, v]
+    return carry
+
+
 def walked_routing_matrix(n_nodes, senders, receivers, weights):
     """Routing matrix built by walking each pair's predecessors back."""
     P = np.zeros((n_nodes * (n_nodes - 1), len(senders)))

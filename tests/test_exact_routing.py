@@ -15,6 +15,7 @@ from oracles import (
     heap_shortest_path_tree,
     min_path_cost,
     pair_index,
+    rank_sweep_carries,
     sweep_link_loads,
     walked_routing_matrix,
 )
@@ -510,6 +511,64 @@ def test_trees_from_an_upper_bound_start_equal_a_cold_start(weights):
             got_dist, got_pred = xr._trees(g, w, sources, start)
             assert np.array_equal(got_dist, dist) and np.array_equal(got_pred, pred)
             assert np.array_equal(start, kept)
+
+
+def test_add_at_adds_in_index_order():
+    # the blocked sweep adds siblings into their parent with one
+    # ``np.add.at``; its carries stay bitwise the rank loop's only because
+    # numpy adds repeated indices one at a time, in index order
+    for values, expected in (([1e16, 1.0, -1e16], 0.0), ([1.0, 1e16, -1e16], 0.0)):
+        total = np.zeros(1)
+        np.add.at(total, [0, 0, 0], values)
+        assert total[0] == expected
+
+
+@pytest.mark.parametrize("weights", sorted(WEIGHT_SETS))
+@pytest.mark.parametrize("n_nodes", [5, 12, 50])
+def test_blocked_sweep_equals_the_rank_loop(n_nodes, weights):
+    """Carries bitwise those of one addition at a time, and no block gathers
+    a node that a rank inside the same block still adds into."""
+    rng = np.random.default_rng(n_nodes + 3000)
+    g = ring_with_chords(rng, n_nodes, chords=n_nodes * 4 // 5)
+    w = WEIGHT_SETS[weights](rng, g)
+    for m in sorted({1, n_nodes // 3, n_nodes}):
+        sources = np.sort(rng.choice(n_nodes, m, replace=False))
+        dist, pred = xr._trees(g, w, sources)
+        start = rng.uniform(0.0, 10.0, (m, n_nodes))
+        carry = start.copy()
+        bounds = xr._sweep(g, dist, pred, carry)
+        assert np.array_equal(carry, rank_sweep_carries(g.senders, dist, pred, start))
+        assert bounds[0] == 0 and bounds[-1] == n_nodes - 1 and np.all(np.diff(bounds) > 0)
+        for i in range(m):
+            ranked = np.argsort(dist[i], kind="stable")[:0:-1]
+            for a, b in zip(bounds, bounds[1:]):
+                gathered = ranked[a:b]
+                assert not np.isin(g.senders[pred[i, gathered]], gathered).any()
+
+
+def test_rejected_demands_leave_the_record_as_it_was():
+    """Demands equal to the stored copy skip validation, so a rejected
+    vector must never become that copy: edited in place to hold NaN, -1 or
+    inf, the same array is rejected on every call."""
+    rng = np.random.default_rng(23)
+    g = ring_with_chords(rng, 12, chords=9)
+    w = rng.integers(1, 21, g.edge_count).astype(np.float64)
+    d = rng.uniform(0.0, 10.0, g.pair_count)
+    good = d.copy()
+    xr.link_loads(g, w, d)
+    for bad in (np.nan, -1.0, np.inf):
+        d[5] = bad
+        for _ in range(2):
+            with pytest.raises(ng.GraphError, match="finite and non-negative"):
+                xr.link_loads(g, w, d)
+    for _ in range(2):
+        with pytest.raises(ng.DimensionMismatchError):
+            xr.link_loads(g, w, good[:-1])
+    graph = (g.node_count, g.senders.tolist(), g.receivers.tolist())
+    moved = w.copy()
+    moved[3] += 4.0
+    for weights in (w, moved):
+        assert np.array_equal(xr.link_loads(g, weights, good), sweep_link_loads(*graph, weights, good))
 
 
 def test_one_link_move_resweeps_only_affected_sources(monkeypatch):
