@@ -12,25 +12,25 @@ input needs no gradient) and shape into locals, and the closure keeps
 those plus only the arrays its formula reads.  ReLU keeps a boolean
 mask, sigmoid its output, layer normalization the standardized values
 and the inverse deviations, a quotient or matrix product an operand
-only when the other side needs its gradient, a dense layer its
-activations only when its weights need a gradient, binary cross-entropy
-the clamped probabilities and the labels, and a row map (``map_rows``)
-its part tapes, their row ranges and the uids of the tensors the parts
-read from outside them.  The fused MLP block (``mlp_ln``)
-keeps what its unfused chain would: the standardized values, the
-inverse deviations and a boolean ReLU mask, its inputs only when its
-first weights need a gradient, and its ReLU output, in place of the
-mask, only when its second weights do.  An intermediate activation is
-therefore freed as soon as the forward pass drops it, and a batched-GNN
-gradient with fixed parameters retains about one f64 standardized block
-plus one boolean mask per processed latent element, not the whole
-forward graph.  The exceptions are inputs a formula needs (``div`` keeps
-its divisor, ``soft_maximum`` its argument beside the exponentials) and
-views: a ``reshape`` output shares its input's buffer, so it keeps it
-alive for as long as the caller holds it.  The reverse pass drops each
-op, and with it what the op kept, once its backward has run, so what a
-tape retains is freed as the pass unwinds, and a tape gives one
-gradient.
+only when the other side needs its gradient, binary cross-entropy the
+clamped probabilities and the labels, and a row map (``map_rows``) its
+part tapes, their row ranges and the uids of the tensors the parts read
+from outside them.  The one dense kernel, behind ``affine_sum`` and both
+layers of the fused MLP block (``mlp_ln``), keeps its inputs only when
+its weights need a gradient and its weights only when an input does.
+So ``mlp_ln`` keeps what its unfused chain would: the standardized
+values, the inverse deviations and a boolean ReLU mask, or the ReLU
+output in place of the mask when its second weights need a gradient.
+An intermediate activation is therefore freed as soon as the forward
+pass drops it, and a batched-GNN gradient with fixed parameters retains
+about one f64 standardized block plus one boolean mask per processed
+latent element, not the whole forward graph.  The exceptions are inputs
+a formula needs (``div`` keeps its divisor, ``soft_maximum`` its
+argument beside the exponentials) and views: a ``reshape`` output
+shares its input's buffer, so it keeps it alive for as long as the
+caller holds it.  The reverse pass drops each op, and with it what the
+op kept, once its backward has run, so what a tape retains is freed as
+the pass unwinds, and a tape gives one gradient.
 
 The two objectives the weight optimizer and the surrogate's training
 descend, the temperature-weighted soft maximum and binary cross-entropy,
@@ -235,9 +235,12 @@ def _add_gradients(grads: dict, pairs) -> None:
         grads[in_uid] = gin if acc is None else acc + gin
 
 
-def _finish(out_data, grad_inputs: list[Tensor], make_backward) -> Tensor:
-    """Wraps op output; records backward only when needed."""
-    tracked = [t for t in grad_inputs if t.requires_grad]
+def _finish(out_data, grad_inputs: list, make_backward) -> Tensor:
+    """Wraps op output; records backward only when needed.
+
+    ``grad_inputs`` may hold None for an absent optional input.
+    """
+    tracked = [t for t in grad_inputs if t is not None and t.requires_grad]
     out = Tensor(out_data, requires_grad=bool(tracked))
     tape = _active_tape()
     if tape is not None and tracked:
@@ -513,9 +516,9 @@ def matmul(a, b) -> Tensor:
 # neural-network primitives
 
 
-def affine(x, weights, bias=None) -> Tensor:
-    """Dense layer ``y = x @ W.T + b``: :func:`affine_sum` of the one input ``x``."""
-    return affine_sum([x], weights, bias)
+def _pairs(uids, grads) -> list:
+    """The ``(uid, gradient)`` pairs a backward returns, for the tracked uids."""
+    return [(u, gu) for u, gu in zip(uids, grads) if u is not None]
 
 
 def _accumulate(acc: np.ndarray, y: np.ndarray, y_owned: bool) -> np.ndarray:
@@ -535,6 +538,77 @@ def _accumulate(acc: np.ndarray, y: np.ndarray, y_owned: bool) -> np.ndarray:
     return acc + y
 
 
+def _check_dense(op: str, widths: list, weights: Tensor, bias) -> None:
+    """Raises unless inputs of ``widths`` tile ``weights`` and ``bias`` is None or ``[n_out]``."""
+    if not widths or weights.ndim != 2 or sum(widths) != weights.shape[1]:
+        raise ShapeMismatchError(f"{op}: input widths {widths} do not tile weights {weights.shape}")
+    if bias is not None and bias.shape != (weights.shape[0],):
+        raise ShapeMismatchError(f"{op}: bias shape {bias.shape} vs out dim {weights.shape[0]}")
+
+
+def _dense(terms, weights: np.ndarray, bias) -> np.ndarray:
+    """The dense kernel: ``concat(xs, -1) @ weights.T + bias``, as a fresh array.
+
+    Each ``(x, idx)`` term multiplies its own column block of ``weights``,
+    the blocks tiling the columns in term order; with an ``idx``, the
+    projected rows are then gathered along axis -2.  The products of the
+    terms without an index are summed in term order, then ``bias`` (or
+    None), then the gathered products in term order, in place wherever
+    the broadcast shape allows.
+    """
+    offsets = [0, *itertools.accumulate(x.shape[-1] for x, _ in terms)]
+    slots = [(x, idx, lo, hi) for (x, idx), lo, hi in zip(terms, offsets[:-1], offsets[1:])]
+
+    def product(x, idx, lo, hi):
+        y = (x.reshape(-1, hi - lo) @ weights[:, lo:hi].T).reshape(x.shape[:-1] + (weights.shape[0],))
+        return y if idx is None else np.take(y, idx, axis=-2)
+
+    # the bias leads only when every term is gathered; a gathered product
+    # has rows, so the sum is then written into it and never into the bias
+    addends = itertools.chain(
+        (product(*s) for s in slots if s[1] is None),
+        [] if bias is None else [bias],
+        (product(*s) for s in slots if s[1] is not None),
+    )
+    out = next(addends)
+    for y in addends:
+        out = _accumulate(out, y, y_owned=y is not bias)
+    return out
+
+
+def _dense_backward(g: np.ndarray, terms, weights, xs, wanted) -> list:
+    """Gradients of :func:`_dense` for its output gradient ``g``.
+
+    ``terms`` holds each term's shape and index; ``wanted`` one flag per
+    term, then one for the weights and one for the bias.  ``weights`` is
+    read only for a term's gradient and ``xs``, the terms' data, only for
+    the weights'.  Returns one gradient per flag, None where it is unset.
+    A term's share of ``g`` is scattered back to its rows when gathered
+    and summed over the axes it was broadcast along, and then projected.
+    """
+    n_out = g.shape[-1]
+    *want_xs, want_w, want_b = wanted
+    gw = np.empty((n_out, sum(shape[-1] for shape, _ in terms))) if want_w else None
+    grads, lo = [], 0
+    for k, ((shape, idx), want_x) in enumerate(zip(terms, want_xs)):
+        hi, gx = lo + shape[-1], None
+        if want_x or want_w:
+            gt = g if idx is None else _scatter_add(g, idx, shape[-2])
+            gt = _unbroadcast(gt, shape[:-1] + (n_out,)).reshape(-1, n_out)
+            if want_x:
+                gx = (gt @ weights[:, lo:hi]).reshape(shape)
+            if want_w:
+                gw[:, lo:hi] = gt.T @ xs[k].reshape(-1, hi - lo)
+        grads.append(gx)
+        lo = hi
+    return [*grads, gw, g.reshape(-1, n_out).sum(axis=0) if want_b else None]
+
+
+def affine(x, weights, bias=None) -> Tensor:
+    """Dense layer ``y = x @ W.T + b``: :func:`affine_sum` of the one input ``x``."""
+    return affine_sum([x], weights, bias)
+
+
 def affine_sum(xs, weights, bias=None) -> Tensor:
     """Dense layer ``y = concat(xs, -1) @ W.T + b`` over the trailing axis.
 
@@ -544,63 +618,27 @@ def affine_sum(xs, weights, bias=None) -> Tensor:
         weights: ``[n_out, n_in]``.
         bias: ``[n_out]`` or None.
 
-    The concatenation is never materialized: each input multiplies its own
-    column block of ``weights``, and the products and the bias are summed
-    in place wherever the broadcast shape allows.  Under a tape, the
-    backward closure keeps the inputs only when ``weights`` requires a
-    gradient, and the weight matrix only when an input does, so with fixed
-    weights an activation is freed as soon as the caller drops it.
+    The dense kernel (:func:`_dense`) with no input gathered: the
+    products, then the bias, summed in place.
     """
     xs = [as_tensor(x) for x in xs]
     weights = as_tensor(weights)
     bias = None if bias is None else as_tensor(bias)
-    widths = [x.shape[-1] for x in xs]
-    if not xs or weights.ndim != 2 or sum(widths) != weights.shape[1]:
-        raise ShapeMismatchError(
-            f"affine_sum: input widths {widths} do not tile weights {weights.shape}"
-        )
-    n_out = weights.shape[0]
-    if bias is not None and bias.shape != (n_out,):
-        raise ShapeMismatchError(f"affine_sum: bias shape {bias.shape} vs out dim {n_out}")
-    offsets = [0, *itertools.accumulate(widths)]
-
-    out_data = None
-    for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-        w_part = weights.data[:, lo:hi]
-        y = (x.data.reshape(-1, hi - lo) @ w_part.T).reshape(x.shape[:-1] + (n_out,))
-        out_data = y if out_data is None else _accumulate(out_data, y, y_owned=True)
-    if bias is not None:
-        out_data = _accumulate(out_data, bias.data, y_owned=False)
+    _check_dense("affine_sum", [x.shape[-1] for x in xs], weights, bias)
+    out_data = _dense([(x.data, None) for x in xs], weights.data, None if bias is None else bias.data)
 
     def backward(out):
-        slots = [(_tracked_uid(x), x.shape, lo, hi) for x, lo, hi in zip(xs, offsets[:-1], offsets[1:])]
-        uw, ub = _tracked_uid(weights), _tracked_uid(bias)
-        w_shape = weights.shape
+        uids = [_tracked_uid(t) for t in (*xs, weights, bias)]
+        terms = [(x.shape, None) for x in xs]
         w_data = weights.data if any(x.requires_grad for x in xs) else None
         saved = [x.data for x in xs] if weights.requires_grad else None
-        out_shape = out.shape
 
         def run(g):
-            g2 = g.reshape(-1, n_out)
-            pairs = []
-            for ux, x_shape, lo, hi in slots:
-                if ux is not None:
-                    gx = (g2 @ w_data[:, lo:hi]).reshape(out_shape[:-1] + (hi - lo,))
-                    pairs.append((ux, _unbroadcast(gx, x_shape)))
-            if uw is not None:
-                gw = np.empty(w_shape)
-                for x_data, (_, _, lo, hi) in zip(saved, slots):
-                    xb = np.broadcast_to(x_data, out_shape[:-1] + (hi - lo,))
-                    gw[:, lo:hi] = g2.T @ xb.reshape(-1, hi - lo)
-                pairs.append((uw, gw))
-            if ub is not None:
-                pairs.append((ub, g2.sum(axis=0)))
-            return pairs
+            return _pairs(uids, _dense_backward(g, terms, w_data, saved, [u is not None for u in uids]))
 
         return run
 
-    inputs = xs + [weights] + ([bias] if bias is not None else [])
-    return _finish(out_data, inputs, backward)
+    return _finish(out_data, [*xs, weights, bias], backward)
 
 
 def relu(x) -> Tensor:
@@ -630,29 +668,39 @@ def sigmoid(x) -> Tensor:
 LAYER_NORM_EPS = 1e-5
 
 
-def _standardize(x: np.ndarray, out=None):
-    """``(x - mean) / sqrt(var + 1e-5)`` over the trailing axis, into ``out``.
+def _check_norm_params(op: str, f: int, gain: Tensor, bias: Tensor) -> None:
+    if gain.shape != (f,) or bias.shape != (f,):
+        raise ShapeMismatchError(f"{op}: gain {gain.shape} / bias {bias.shape} vs features {f}")
 
-    Returns the standardized values and the inverse deviations; pass
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, out=None):
+    """``(x - mean) / sqrt(var + 1e-5) * gain + bias`` over the trailing axis.
+
+    Returns the result, the standardized values and the inverse
+    deviations.  The standardized values are written into ``out``; pass
     ``out=x`` to standardize an array the caller owns in place.
     """
     mu = x.mean(axis=-1, keepdims=True)
-    xc = np.subtract(x, mu, out=out)
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    xhat = np.subtract(x, mu, out=out)
+    var = np.mean(xhat * xhat, axis=-1, keepdims=True)
     istd = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xc *= istd
-    return xc, istd
+    xhat *= istd
+    y = xhat * gain
+    y += bias
+    return y, xhat, istd
 
 
-def _standardize_backward(g, xhat, istd, gain, want_x: bool, want_gain: bool, want_bias: bool):
-    """Gradients of ``xhat * gain + bias`` for the output gradient ``g``.
+def _layer_norm_backward(g, xhat, istd, gain, wanted) -> list:
+    """Gradients of :func:`_layer_norm` for the output gradient ``g``.
 
-    Returns ``(gx, ggain, gbias)`` with None for each one not wanted.
-    ``gx`` is ``(h - m1 - xhat * m2) * istd`` with ``h = g * gain`` and
-    ``m1``, ``m2`` the trailing-axis means of ``h`` and ``h * xhat``,
-    evaluated in ``h`` itself and one scratch array that the gain
-    gradient then reuses; the scratch is freed on return.
+    ``wanted`` flags the input, the gain and the bias; returns one
+    gradient per flag, None where the flag is unset.  The input's is
+    ``(h - m1 - xhat * m2) * istd`` with ``h = g * gain`` and ``m1``,
+    ``m2`` the trailing-axis means of ``h`` and ``h * xhat``, evaluated in
+    ``h`` itself and one scratch array that the gain gradient then reuses;
+    the scratch is freed on return.
     """
+    want_x, want_gain, want_bias = wanted
     f = xhat.shape[-1]
     gx = scratch = ggain = gbias = None
     if want_x:
@@ -669,12 +717,7 @@ def _standardize_backward(g, xhat, istd, gain, want_x: bool, want_gain: bool, wa
         ggain = scratch.reshape(-1, f).sum(axis=0)
     if want_bias:
         gbias = g.reshape(-1, f).sum(axis=0)
-    return gx, ggain, gbias
-
-
-def _check_norm_params(op: str, f: int, gain: Tensor, bias: Tensor) -> None:
-    if gain.shape != (f,) or bias.shape != (f,):
-        raise ShapeMismatchError(f"{op}: gain {gain.shape} / bias {bias.shape} vs features {f}")
+    return [gx, ggain, gbias]
 
 
 def layer_normalize(x, gain, bias) -> Tensor:
@@ -685,18 +728,14 @@ def layer_normalize(x, gain, bias) -> Tensor:
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     _check_norm_params("layer_normalize", x.shape[-1], gain, bias)
-    xhat, istd = _standardize(x.data)
-    out_data = _accumulate(xhat * gain.data, bias.data, y_owned=False)
+    out_data, xhat, istd = _layer_norm(x.data, gain.data, bias.data)
 
     def backward(out):
-        ux, ug, ub = _tracked_uid(x), _tracked_uid(gain), _tracked_uid(bias)
+        uids = [_tracked_uid(t) for t in (x, gain, bias)]
         g_data = gain.data
 
         def run(g):
-            gx, ggain, gbias = _standardize_backward(
-                g, xhat, istd, g_data, ux is not None, ug is not None, ub is not None
-            )
-            return [(u, gu) for u, gu in ((ux, gx), (ug, ggain), (ub, gbias)) if u is not None]
+            return _pairs(uids, _layer_norm_backward(g, xhat, istd, g_data, [u is not None for u in uids]))
 
         return run
 
@@ -771,7 +810,7 @@ def mlp_ln(terms, w1, b1, w2, b2, gain, bias) -> Tensor:
     """Dense, ReLU, dense and layer norm as one op.
 
     ``layer_normalize(relu(z) @ w2.T + b2, gain, bias)``, where the first
-    layer ``z`` is :func:`affine_sum` of the terms with ``w1`` and ``b1``.
+    layer ``z`` sums ``b1`` and the terms' products with ``w1``.
 
     Args:
         terms: Non-empty list of ``(x, idx)``.  Each ``x`` ``[..., n_i]``
@@ -782,108 +821,60 @@ def mlp_ln(terms, w1, b1, w2, b2, gain, bias) -> Tensor:
         w1: ``[n_hidden, sum n_i]``; ``b1``: ``[n_hidden]``.
         w2: ``[n_out, n_hidden]``; ``b2``, ``gain``, ``bias``: ``[n_out]``.
 
-    The first layer sums the products of the terms without an index in
-    list order, then ``b1``, then the gathered products in list order,
-    and ReLU, the second bias and the standardization are applied in
-    place, so the values are bit for bit those of the unfused chain.
-    Under a tape the backward scatters a gathered term's gradient back to
-    its rows before it projects it, and keeps what the unfused chain
-    would (see the module docstring).
+    Both layers are the dense kernel (:func:`_dense`), which fixes the
+    order of the first layer's sum, and ReLU and the standardization run
+    in place, so the values are bit for bit the unfused chain's.
     """
     terms = [(as_tensor(x), idx) for x, idx in terms]
     w1, b1, w2, b2, gain, bias = (as_tensor(p) for p in (w1, b1, w2, b2, gain, bias))
     xs = [x for x, _ in terms]
-    widths = [x.shape[-1] for x in xs]
-    if not terms or w1.ndim != 2 or w2.ndim != 2 or sum(widths) != w1.shape[1]:
-        raise ShapeMismatchError(f"mlp_ln: term widths {widths} do not tile weights {w1.shape}")
-    n_hidden, n_out = w1.shape[0], w2.shape[0]
-    if b1.shape != (n_hidden,) or b2.shape != (n_out,) or w2.shape[1] != n_hidden:
-        raise ShapeMismatchError(
-            f"mlp_ln: layers {w1.shape} + {b1.shape} and {w2.shape} + {b2.shape} do not chain"
-        )
-    _check_norm_params("mlp_ln", n_out, gain, bias)
-    offsets = [0, *itertools.accumulate(widths)]
-    slots = []
-    for (x, idx), lo, hi in zip(terms, offsets[:-1], offsets[1:]):
+    _check_dense("mlp_ln", [x.shape[-1] for x in xs], w1, b1)
+    _check_dense("mlp_ln", [w1.shape[0]], w2, b2)
+    _check_norm_params("mlp_ln", w2.shape[0], gain, bias)
+    first = []
+    for x, idx in terms:
         if idx is not None:
             if x.ndim < 2:
                 raise ShapeMismatchError(f"mlp_ln: a gathered term needs rows, got shape {x.shape}")
             idx = _row_indices(idx, x.shape[-2], "mlp_ln")
-        slots.append((x, idx, lo, hi))
-
-    def product(x, idx, lo, hi):
-        y = (x.data.reshape(-1, hi - lo) @ w1.data[:, lo:hi].T).reshape(x.shape[:-1] + (n_hidden,))
-        return y if idx is None else np.take(y, idx, axis=-2)
-
-    # b1 leads only when every term is gathered; a gathered product has
-    # rows, so the sum is then written into it and never into b1
-    addends = itertools.chain(
-        (product(*s) for s in slots if s[1] is None),
-        [b1.data],
-        (product(*s) for s in slots if s[1] is not None),
-    )
-    z = next(addends)
-    for y in addends:
-        z = _accumulate(z, y, y_owned=y is not b1.data)
+        first.append((x.shape, idx))
+    z = _dense([(x.data, idx) for x, (_, idx) in zip(xs, first)], w1.data, b1.data)
     np.maximum(z, 0.0, out=z)
-    xhat = (z.reshape(-1, n_hidden) @ w2.data.T).reshape(z.shape[:-1] + (n_out,))
-    xhat += b2.data
-    xhat, istd = _standardize(xhat, out=xhat)
-    out_data = xhat * gain.data
-    out_data += bias.data
+    h = _dense([(z, None)], w2.data, b2.data)
+    out_data, xhat, istd = _layer_norm(h, gain.data, bias.data, out=h)
 
     def backward(out):
-        term_slots = [(_tracked_uid(x), x.shape, idx, lo, hi) for x, idx, lo, hi in slots]
-        uw1, ub1, uw2, ub2 = (_tracked_uid(p) for p in (w1, b1, w2, b2))
-        ugain, ubias = _tracked_uid(gain), _tracked_uid(bias)
-        any_x = any(x.requires_grad for x in xs)
-        need_first = any_x or w1.requires_grad or b1.requires_grad
-        need_second = need_first or w2.requires_grad or b2.requires_grad
-        w1_shape, w1_data = w1.shape, (w1.data if any_x else None)
+        uids1 = [_tracked_uid(t) for t in (*xs, w1, b1)]
+        uw2, ub2, ugain, ubias = (_tracked_uid(p) for p in (w2, b2, gain, bias))
+        # per layer: the flags of its input gradients, its weights' and its bias'
+        want1 = [u is not None for u in uids1]
+        want2 = [any(want1), uw2 is not None, ub2 is not None]
+        want_norm = [any(want2), ugain is not None, ubias is not None]
+        w1_data = w1.data if any(x.requires_grad for x in xs) else None
         saved = [x.data for x in xs] if w1.requires_grad else None
-        w2_data = w2.data if need_first else None
-        g_data = gain.data if need_second else None
+        w2_data = w2.data if want2[0] else None
+        g_data = gain.data if want_norm[0] else None
         relu_out = z if w2.requires_grad else None
-        mask = z > 0.0 if need_first and relu_out is None else None
-        hidden_shape = z.shape
+        mask = z > 0.0 if want2[0] and relu_out is None else None
+        second = [(z.shape, None)]
 
         def run(g):
-            gu, ggain, gbias = _standardize_backward(
-                g, xhat, istd, g_data, need_second, ugain is not None, ubias is not None
-            )
+            gh, *grads = _layer_norm_backward(g, xhat, istd, g_data, want_norm)
             del g
-            pairs = [(u, gp) for u, gp in ((ugain, ggain), (ubias, gbias)) if u is not None]
-            if gu is None:
+            pairs = _pairs((ugain, ubias), grads)
+            if gh is None:
                 return pairs
-            gu = gu.reshape(-1, n_out)
-            if uw2 is not None:
-                pairs.append((uw2, gu.T @ relu_out.reshape(-1, n_hidden)))
-            if ub2 is not None:
-                pairs.append((ub2, gu.sum(axis=0)))
-            if not need_first:
+            gz, *grads = _dense_backward(gh, second, w2_data, [relu_out], want2)
+            del gh
+            pairs += _pairs((uw2, ub2), grads)
+            if gz is None:
                 return pairs
-            gz = (gu @ w2_data).reshape(hidden_shape)
-            del gu
             gz *= mask if relu_out is None else relu_out > 0.0
-            if ub1 is not None:
-                pairs.append((ub1, gz.reshape(-1, n_hidden).sum(axis=0)))
-            gw1 = np.empty(w1_shape) if uw1 is not None else None
-            for k, (ux, x_shape, idx, lo, hi) in enumerate(term_slots):
-                if ux is None and gw1 is None:
-                    continue
-                gt = gz if idx is None else _scatter_add(gz, idx, x_shape[-2])
-                gt = _unbroadcast(gt, x_shape[:-1] + (n_hidden,)).reshape(-1, n_hidden)
-                if ux is not None:
-                    pairs.append((ux, (gt @ w1_data[:, lo:hi]).reshape(x_shape)))
-                if gw1 is not None:
-                    gw1[:, lo:hi] = gt.T @ saved[k].reshape(-1, hi - lo)
-            if gw1 is not None:
-                pairs.append((uw1, gw1))
-            return pairs
+            return pairs + _pairs(uids1, _dense_backward(gz, first, w1_data, saved, want1))
 
         return run
 
-    return _finish(out_data, xs + [w1, b1, w2, b2, gain, bias], backward)
+    return _finish(out_data, [*xs, w1, b1, w2, b2, gain, bias], backward)
 
 
 # ---------------------------------------------------------------------------
@@ -932,11 +923,13 @@ BCE_CLAMP = 1e-7
 
 
 def binary_cross_entropy(p, labels) -> Tensor:
-    """Mean binary cross-entropy between probabilities and 0/1 labels.
+    """Mean binary cross-entropy between probabilities and labels in [0, 1].
 
     Probabilities are clamped to ``[1e-7, 1 - 1e-7]`` so confidently wrong
     predictions yield a large finite loss instead of infinity; the
-    gradient is zero where the clamp binds.
+    gradient is zero where the clamp binds.  A label outside ``[0, 1]``,
+    or NaN, raises :class:`DiffcoreError`: it would give a loss below zero
+    or a NaN one.
 
     One op: with ``pc`` the clamped probabilities and ``gm = -g / size``
     per entry, the backward is ``-(gm * (1 - y) / (1 - pc)) + gm * y / pc``,
@@ -948,6 +941,8 @@ def binary_cross_entropy(p, labels) -> Tensor:
     y = np.asarray(labels.data if isinstance(labels, Tensor) else labels, dtype=np.float64)
     if y.shape != p.shape:
         raise ShapeMismatchError(f"labels shape {y.shape} vs predictions {p.shape}")
+    if not np.all((y >= 0.0) & (y <= 1.0)):
+        raise DiffcoreError("binary_cross_entropy: labels must lie in [0, 1], and none be NaN")
     lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
     pc = np.clip(p.data, lo, hi)
     term = y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)
@@ -988,30 +983,31 @@ class AdamState:
         )
 
 
-def adam_step(
-    state: AdamState,
-    params: dict,
-    grads: dict,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[AdamState, dict]:
-    """One Adam update with bias correction; parameters update in place."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_step(state: AdamState, params: dict, grads: dict, lr: float) -> tuple[AdamState, dict]:
+    """One Adam update with bias correction; parameters update in place.
+
+    The moment decays are :data:`ADAM_BETA1` and :data:`ADAM_BETA2`, and
+    :data:`ADAM_EPS` is added to the root of the second moment.
+    """
     state.step += 1
     t = state.step
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeMismatchError(f"grad shape {g.shape} vs param {p.shape} for {name!r}")
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return state, params
 

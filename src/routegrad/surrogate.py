@@ -317,7 +317,14 @@ def save_checkpoint(model: GnnModel, path) -> None:
     Floats are emitted as shortest round-trip decimals, keys are sorted,
     and separators are fixed, so saving the same parameters always
     produces identical bytes.
+
+    Raises:
+        CheckpointError: a parameter holds a NaN or an infinity, which
+            JSON cannot represent; ``path`` is then not opened.
     """
+    for name, arr in model.params.items():
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{name}: non-finite values")
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -332,7 +339,7 @@ def save_checkpoint(model: GnnModel, path) -> None:
         },
     }
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"), allow_nan=False)
         fh.write("\n")
 
 
@@ -346,8 +353,8 @@ def load_checkpoint(path) -> GnnModel:
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"not valid JSON: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"not an ASCII JSON document: {exc}") from exc
     try:
         return _model_from_document(doc)
     except CheckpointError:

@@ -462,6 +462,14 @@ class TestMlpLn:
         y = dc.mlp_ln([(agg, None), (nodes, None)], w1, b1, w2, b2, gain, bias)
         expect = dc.layer_normalize(dc.affine(dc.relu(dc.affine_sum([agg, nodes], w1, b1)), w2, b2), gain, bias)
         assert np.array_equal(y.data, expect.data)
+        # gathered terms only: b1 leads, then the gathered products in list order
+        rows_a, rows_b = np.random.default_rng(26).integers(0, 4, (2, 7))
+        y = dc.mlp_ln([(nodes, rows_a), (agg, rows_b)], w1, b1, w2, b2, gain, bias)
+        z = dc.add(b1, dc.index_rows(dc.affine(nodes, w1.data[:, :5]), rows_a))
+        z = dc.add(z, dc.index_rows(dc.affine(agg, w1.data[:, 5:]), rows_b))
+        expect = dc.layer_normalize(dc.affine(dc.relu(z), w2, b2), gain, bias)
+        assert y.shape == (3, 7, 4)
+        assert np.array_equal(y.data, expect.data)
 
     def test_every_gradient_matches_fd(self):
         # both edge-term broadcast and the two gathered uses of one node
@@ -597,6 +605,9 @@ class TestBinaryCrossEntropy:
         labels = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
         loss = dc.binary_cross_entropy(dc.Tensor(np.full(5, 0.5)), labels)
         assert float(loss.data) == pytest.approx(math.log(2.0), rel=1e-12)
+        # a soft label anywhere in [0, 1], ends included, is accepted
+        loss = dc.binary_cross_entropy(dc.Tensor(np.full(3, 0.5)), np.array([0.0, 0.3, 1.0]))
+        assert float(loss.data) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_monotone_toward_label(self):
         labels = np.array([1.0])
@@ -609,6 +620,12 @@ class TestBinaryCrossEntropy:
     def test_shape_mismatch(self):
         with pytest.raises(dc.ShapeMismatchError):
             dc.binary_cross_entropy(dc.Tensor(np.zeros(3)), np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [2.0, -0.5, np.nan, np.inf])
+    def test_labels_outside_unit_interval_rejected(self, bad):
+        # a label above 1 makes the loss negative, and a NaN one makes it NaN
+        with pytest.raises(dc.DiffcoreError, match="labels"):
+            dc.binary_cross_entropy(dc.Tensor([0.9, 0.9, 0.9]), np.array([0.0, 1.0, bad]))
 
     def test_bitwise_equals_element_wise_chain(self):
         # entries at and beyond both clamps get a zero gradient

@@ -627,6 +627,22 @@ class TestCheckpoint:
             path.write_text(text)
             with pytest.raises(sg.CheckpointError):
                 sg.load_checkpoint(path)
+        # not ASCII, so no document save_checkpoint writes; the decode
+        # error must not escape as a UnicodeDecodeError
+        path.write_bytes(b'{"format": "\xff"}')
+        with pytest.raises(sg.CheckpointError):
+            sg.load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_parameter_not_saved(self, small_model, tmp_path, bad):
+        # JSON has no token for either value, and load_checkpoint would
+        # reject the file, so none is written
+        params = {k: v.copy() for k, v in small_model.params.items()}
+        params["dec_l2_b"][0] = bad
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(sg.CheckpointError, match="dec_l2_b"):
+            sg.save_checkpoint(sg.GnnModel(small_model.config, params), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "kwargs",
