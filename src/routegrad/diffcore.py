@@ -7,17 +7,17 @@ with no active tape are plain numpy calls, so inference pays no autodiff
 overhead.
 
 Retention contract: a backward closure never holds an input ``Tensor``.
-When an op records itself it copies each input's uid (``None`` when the
-input needs no gradient) and shape into locals, and the closure keeps
-those plus only the arrays its formula reads.  ReLU keeps a boolean
-mask, sigmoid its output, layer normalization the standardized values
-and the inverse deviations, a quotient or matrix product an operand
-only when the other side needs its gradient, binary cross-entropy the
-clamped probabilities and the labels, and a row map (``map_rows``) its
-part tapes, their row ranges and the uids of the tensors the parts read
-from outside them.  The one dense kernel, behind ``affine_sum`` and both
-layers of the fused MLP block (``mlp_ln``), keeps its inputs only when
-its weights need a gradient and its weights only when an input does.
+When an op records itself the tape keeps its input uids, and the closure
+keeps only the shapes and flags its formula needs and the arrays the
+formula reads.  ReLU keeps a boolean mask, sigmoid its output, layer
+normalization the standardized values and the inverse deviations, a
+quotient or matrix product an operand only when the other side needs
+its gradient, binary cross-entropy the clamped probabilities and the
+labels, and a row map (``map_rows``) its part tapes, their row ranges
+and the uids it seeds and reads the part tapes' gradients under.  The
+one dense kernel, behind ``affine_sum`` and both layers of the fused MLP
+block (``mlp_ln``), keeps its inputs only when its weights need a
+gradient and its weights only when an input does.
 So ``mlp_ln`` keeps what its unfused chain would: the standardized
 values, the inverse deviations and a boolean ReLU mask, or the ReLU
 output in place of the mask when its second weights need a gradient.
@@ -132,22 +132,22 @@ class Tape:
     """Records operations for one reverse-mode gradient computation.
 
     Use as a context manager; ops run inside the block are recorded (on
-    the innermost active tape only), each as its output uids, the uids of
-    its tracked inputs and a backward closure.  The uids a tape saw but
-    no op of it produced are what its ops read from outside; a
-    :func:`map_rows` op takes them off its part tapes as its inputs.  A
-    tape records on the one thread that entered it.  Its reverse pass
-    runs on the thread that calls :meth:`gradient`, except that a
-    :func:`map_rows` op pulls its part tapes back on the pool.  The
-    reverse pass drops each op as it runs it, so a tape gives one
+    the innermost active tape only), each as its output uids, its input
+    uids and a backward closure (see :func:`_finish`).  The tape alone
+    pairs the gradients a backward returns with the input uids.  The uids
+    a tape saw but no op of it produced are what its ops read from
+    outside; a :func:`map_rows` op takes them off its part tapes as its
+    inputs.  A tape records on the one thread that entered it.  Its
+    reverse pass runs on the thread that calls :meth:`gradient`, except
+    that a :func:`map_rows` op pulls its part tapes back on the pool.
+    The reverse pass drops each op as it runs it, so a tape gives one
     gradient.
     """
 
     def __init__(self):
-        # (output uids, backward): the backward takes one gradient, or
-        # None, per output
-        self._ops: list[tuple[tuple[int, ...], object]] = []
-        self._seen: set[int] = set()
+        # (output uids, input uids, backward): the backward takes one
+        # gradient, or None, per output and returns one per input
+        self._ops: list[tuple[tuple[int, ...], list, object]] = []
         self._pulled = False
 
     def __enter__(self):
@@ -160,10 +160,7 @@ class Tape:
         return False
 
     def _record(self, outs, input_uids, backward) -> None:
-        uids = tuple(o._uid for o in outs)
-        self._ops.append((uids, backward))
-        self._seen.update(uids)
-        self._seen.update(input_uids)
+        self._ops.append((tuple(o._uid for o in outs), input_uids, backward))
 
     def gradient(self, output: Tensor, inputs):
         """Gradients of a recorded scalar with respect to ``inputs``.
@@ -192,13 +189,14 @@ class Tape:
             raise NotScalarOutputError(f"output has shape {output.shape}; expected a scalar")
 
         self._pulled = True
+        seen = _seen(self._ops)
         grads = self._pullback({output._uid: np.ones_like(output.data)})
         results = []
         for t in wanted:
             if t._uid == output._uid:
                 results.append(np.ones_like(t.data))
                 continue
-            if t._uid not in self._seen:
+            if t._uid not in seen:
                 raise InputNotOnTapeError(
                     "input was never recorded on this tape; create it with "
                     "requires_grad=True and use it inside the tape context"
@@ -217,43 +215,59 @@ class Tape:
         grads = dict(seeds)
         ops = self._ops
         while ops:
-            uids, backward = ops.pop()
+            outs, ins, backward = ops.pop()
             # no local holds an output gradient or the summands, so they
             # are freed before the next op runs; a one-output op gets its
             # gradient as the only reference, so it can free it sooner
-            if len(uids) == 1:
-                if uids[0] in grads:
-                    _add_gradients(grads, backward(grads.pop(uids[0])))
-            elif any(uid in grads for uid in uids):
-                _add_gradients(grads, backward(*[grads.pop(uid, None) for uid in uids]))
+            if len(outs) == 1:
+                if outs[0] in grads:
+                    _add_gradients(grads, ins, backward(grads.pop(outs[0])))
+            elif any(uid in grads for uid in outs):
+                _add_gradients(grads, ins, backward(*[grads.pop(uid, None) for uid in outs]))
         return grads
 
 
-def _add_gradients(grads: dict, pairs) -> None:
-    for in_uid, gin in pairs:
-        acc = grads.get(in_uid)
-        grads[in_uid] = gin if acc is None else acc + gin
+def _seen(ops) -> set:
+    """The uids the recorded ``ops`` produced or read."""
+    seen = set()
+    for outs, ins, _ in ops:
+        seen.update(outs)
+        seen.update(ins)
+    seen.discard(None)
+    return seen
 
 
-def _finish(out_data, grad_inputs: list, make_backward) -> Tensor:
-    """Wraps op output; records backward only when needed.
+def _add_gradients(grads: dict, uids, gradients) -> None:
+    """Adds each gradient into ``grads`` under the uid at its position.
 
-    ``grad_inputs`` may hold None for an absent optional input.
+    ``gradients`` holds one entry per uid, in order; a None entry adds
+    nothing, and the summands of one uid are added in that order.
     """
-    tracked = [t for t in grad_inputs if t is not None and t.requires_grad]
-    out = Tensor(out_data, requires_grad=bool(tracked))
+    for uid, g in zip(uids, gradients, strict=True):
+        if g is not None:
+            acc = grads.get(uid)
+            grads[uid] = g if acc is None else acc + g
+
+
+def _finish(out_data, inputs: list, make_backward) -> Tensor:
+    """Wraps an op's output; records its backward only when needed.
+
+    The backward convention of every op: ``inputs`` lists the op's
+    tensors in a fixed order, None for an absent optional input
+    (``bias=None``).  Under an active tape, when some input needs a
+    gradient, the tape records the input uids in that order, None for an
+    input that is absent or needs none, and ``make_backward(out, want)``,
+    where ``want`` flags the inputs that need a gradient.  It returns
+    the backward: a function of the output gradient that returns one
+    gradient per input, in input order, None where ``want`` is unset.
+    Only the tape pairs those gradients with the uids.
+    """
+    want = [t is not None and t.requires_grad for t in inputs]
+    out = Tensor(out_data, requires_grad=any(want))
     tape = _active_tape()
-    if tape is not None and tracked:
-        tape._record((out,), [t._uid for t in tracked], make_backward(out))
+    if tape is not None and out.requires_grad:
+        tape._record((out,), [t._uid if w else None for t, w in zip(inputs, want)], make_backward(out, want))
     return out
-
-
-def _tracked_uid(t):
-    """The uid a backward closure reports ``t``'s gradient under, or None.
-
-    None also for an absent optional input (``bias=None``).
-    """
-    return t._uid if t is not None and t.requires_grad else None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -277,18 +291,9 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
 
-    def backward(out):
-        ua, sa, ub, sb = _tracked_uid(a), a.shape, _tracked_uid(b), b.shape
-
-        def run(g):
-            pairs = []
-            if ua is not None:
-                pairs.append((ua, _unbroadcast(g, sa)))
-            if ub is not None:
-                pairs.append((ub, _unbroadcast(g, sb)))
-            return pairs
-
-        return run
+    def backward(out, want):
+        shapes = a.shape, b.shape
+        return lambda g: [_unbroadcast(g, s) if w else None for s, w in zip(shapes, want)]
 
     return _finish(data, [a, b], backward)
 
@@ -297,18 +302,16 @@ def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data / b.data
 
-    def backward(out):
-        ua, sa, ub, sb = _tracked_uid(a), a.shape, _tracked_uid(b), b.shape
-        a_data = a.data if b.requires_grad else None
+    def backward(out, want):
+        (want_a, want_b), sa, sb = want, a.shape, b.shape
+        a_data = a.data if want_b else None
         b_data = b.data
 
         def run(g):
-            pairs = []
-            if ua is not None:
-                pairs.append((ua, _unbroadcast(g / b_data, sa)))
-            if ub is not None:
-                pairs.append((ub, _unbroadcast(-g * a_data / (b_data * b_data), sb)))
-            return pairs
+            return [
+                _unbroadcast(g / b_data, sa) if want_a else None,
+                _unbroadcast(-g * a_data / (b_data * b_data), sb) if want_b else None,
+            ]
 
         return run
 
@@ -323,9 +326,9 @@ def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     data = a.data.reshape(shape)
 
-    def backward(out):
-        ua, orig = a._uid, a.shape
-        return lambda g: [(ua, g.reshape(orig))]
+    def backward(out, want):
+        orig = a.shape
+        return lambda g: [g.reshape(orig)]
 
     return _finish(data, [a], backward)
 
@@ -355,13 +358,15 @@ def map_rows(fn, parts):
     Otherwise each ``fn(p)`` runs on the calling thread under a tape of
     its own, and the tracked tensors a part read or returned but did not
     produce (the tensors from outside it, and leaves it created) become
-    the inputs of one op, with every stacked output, recorded on the
-    active tape.  Its backward seeds each part tape with its row slices of
-    all the output gradients, pulls the parts back on a pool of
-    :data:`POOL_WORKERS` threads, and sums each input's gradient over the
-    parts in reverse part order, the order one tape over every part would
-    add them in.  With one worker, or when the backward already runs on a
-    pool thread (a nested ``map_rows``), the parts are pulled back inline.
+    the inputs of one op, in one fixed order, with every stacked output,
+    recorded on the active tape.  Its backward seeds each part tape with
+    its row slices of all the output gradients, pulls the parts back on a
+    pool of :data:`POOL_WORKERS` threads, and returns each input's
+    gradient summed over the parts in reverse part order, the order one
+    tape over every part would add them in, or None for an input no part
+    pulled a gradient back to.  With one worker, or when the backward
+    already runs on a pool thread (a nested ``map_rows``), the parts are
+    pulled back inline.
 
     Raises:
         ShapeMismatchError: there are no parts, a part returns no tuple,
@@ -389,40 +394,35 @@ def map_rows(fn, parts):
     )
     # per part, the uids its own ops produced; every other tracked tensor
     # it read or returned came from outside it
-    owns = [set().union(*(uids for uids, _ in t._ops)) for t in tapes]
+    owns = [set().union(*(outs for outs, _, _ in t._ops)) for t in tapes]
     read = set().union(
-        *((t._seen | {o._uid for o in r if o.requires_grad}) - own for t, r, own in zip(tapes, results, owns))
+        *((_seen(t._ops) | {o._uid for o in r if o.requires_grad}) - own for t, r, own in zip(tapes, results, owns))
     )
     if read & set().union(*owns):
         raise DiffcoreError("map_rows: a part reads a tracked tensor another part produced")
     if any(o.requires_grad for o in stacked):
+        read = list(read)
         offsets = [[0, *itertools.accumulate(o.shape[0] for o in column)] for column in columns]
         # per part, in reverse: its tape and, per output of the part that
-        # is tracked, the output's index, uid and row range
-        slots = [
-            (
-                part_tape,
-                [
-                    (j, column[k]._uid, offsets[j][k], offsets[j][k + 1])
-                    for j, column in enumerate(columns)
-                    if column[k].requires_grad
-                ],
-            )
-            for k, part_tape in reversed(list(enumerate(tapes)))
-        ]
+        # is tracked, the output's uid, and its index and row range
+        slots = []
+        for k, part_tape in reversed(list(enumerate(tapes))):
+            tracked = [j for j, column in enumerate(columns) if column[k].requires_grad]
+            rows = [(j, offsets[j][k], offsets[j][k + 1]) for j in tracked]
+            slots.append((part_tape, [columns[j][k]._uid for j in tracked], rows))
 
         def backward(*gs):
             jobs = []
-            for part_tape, seeds in slots:
-                part_seeds: dict[int, np.ndarray] = {}
-                _add_gradients(part_seeds, [(u, gs[j][lo:hi]) for j, u, lo, hi in seeds if gs[j] is not None])
-                if part_seeds:
-                    jobs.append((part_tape, part_seeds))
+            for part_tape, uids, rows in slots:
+                seeds: dict[int, np.ndarray] = {}
+                _add_gradients(seeds, uids, [None if gs[j] is None else gs[j][lo:hi] for j, lo, hi in rows])
+                if seeds:
+                    jobs.append((part_tape, seeds))
             totals: dict[int, np.ndarray] = {}
             for grads in _pull_back_parts(jobs):
-                _add_gradients(totals, [(u, grads[u]) for u in read if u in grads])
+                _add_gradients(totals, read, [grads.get(u) for u in read])
                 del grads
-            return list(totals.items())
+            return [totals.get(u) for u in read]
 
         tape._record(stacked, read, backward)
     return stacked
@@ -492,20 +492,16 @@ def matmul(a, b) -> Tensor:
         raise ShapeMismatchError("matmul operands must have ndim >= 2")
     data = a.data @ b.data
 
-    def backward(out):
-        ua, sa, ub, sb = _tracked_uid(a), a.shape, _tracked_uid(b), b.shape
-        a_data = a.data if b.requires_grad else None
-        b_data = b.data if a.requires_grad else None
+    def backward(out, want):
+        (want_a, want_b), sa, sb = want, a.shape, b.shape
+        a_data = a.data if want_b else None
+        b_data = b.data if want_a else None
 
         def run(g):
-            pairs = []
-            if ua is not None:
-                ga = g @ b_data.swapaxes(-1, -2)
-                pairs.append((ua, _unbroadcast(ga, sa)))
-            if ub is not None:
-                gb = a_data.swapaxes(-1, -2) @ g
-                pairs.append((ub, _unbroadcast(gb, sb)))
-            return pairs
+            return [
+                _unbroadcast(g @ b_data.swapaxes(-1, -2), sa) if want_a else None,
+                _unbroadcast(a_data.swapaxes(-1, -2) @ g, sb) if want_b else None,
+            ]
 
         return run
 
@@ -514,11 +510,6 @@ def matmul(a, b) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # neural-network primitives
-
-
-def _pairs(uids, grads) -> list:
-    """The ``(uid, gradient)`` pairs a backward returns, for the tracked uids."""
-    return [(u, gu) for u, gu in zip(uids, grads) if u is not None]
 
 
 def _accumulate(acc: np.ndarray, y: np.ndarray, y_owned: bool) -> np.ndarray:
@@ -627,16 +618,11 @@ def affine_sum(xs, weights, bias=None) -> Tensor:
     _check_dense("affine_sum", [x.shape[-1] for x in xs], weights, bias)
     out_data = _dense([(x.data, None) for x in xs], weights.data, None if bias is None else bias.data)
 
-    def backward(out):
-        uids = [_tracked_uid(t) for t in (*xs, weights, bias)]
+    def backward(out, want):
         terms = [(x.shape, None) for x in xs]
-        w_data = weights.data if any(x.requires_grad for x in xs) else None
-        saved = [x.data for x in xs] if weights.requires_grad else None
-
-        def run(g):
-            return _pairs(uids, _dense_backward(g, terms, w_data, saved, [u is not None for u in uids]))
-
-        return run
+        w_data = weights.data if any(want[:-2]) else None
+        saved = [x.data for x in xs] if want[-2] else None
+        return lambda g: _dense_backward(g, terms, w_data, saved, want)
 
     return _finish(out_data, [*xs, weights, bias], backward)
 
@@ -645,9 +631,9 @@ def relu(x) -> Tensor:
     x = as_tensor(x)
     data = np.maximum(x.data, 0.0)
 
-    def backward(out):
-        ux, mask = x._uid, x.data > 0.0
-        return lambda g: [(ux, g * mask)]
+    def backward(out, want):
+        mask = x.data > 0.0
+        return lambda g: [g * mask]
 
     return _finish(data, [x], backward)
 
@@ -658,9 +644,9 @@ def sigmoid(x) -> Tensor:
     e = np.exp(-np.abs(x.data))
     data = np.where(x.data >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    def backward(out):
-        ux, y = x._uid, out.data
-        return lambda g: [(ux, g * y * (1.0 - y))]
+    def backward(out, want):
+        y = out.data
+        return lambda g: [g * y * (1.0 - y)]
 
     return _finish(data, [x], backward)
 
@@ -730,14 +716,9 @@ def layer_normalize(x, gain, bias) -> Tensor:
     _check_norm_params("layer_normalize", x.shape[-1], gain, bias)
     out_data, xhat, istd = _layer_norm(x.data, gain.data, bias.data)
 
-    def backward(out):
-        uids = [_tracked_uid(t) for t in (x, gain, bias)]
+    def backward(out, want):
         g_data = gain.data
-
-        def run(g):
-            return _pairs(uids, _layer_norm_backward(g, xhat, istd, g_data, [u is not None for u in uids]))
-
-        return run
+        return lambda g: _layer_norm_backward(g, xhat, istd, g_data, want)
 
     return _finish(out_data, [x, gain, bias], backward)
 
@@ -777,9 +758,9 @@ def index_rows(x, idx) -> Tensor:
     idx = _row_indices(idx, x.shape[-2], "index_rows")
     data = np.take(x.data, idx, axis=-2)
 
-    def backward(out):
-        ux, n_src = x._uid, x.shape[-2]
-        return lambda g: [(ux, _scatter_add(g, idx, n_src))]
+    def backward(out, want):
+        n_src = x.shape[-2]
+        return lambda g: [_scatter_add(g, idx, n_src)]
 
     return _finish(data, [x], backward)
 
@@ -795,9 +776,8 @@ def segment_sum(x, idx, n_segments: int) -> Tensor:
         raise ShapeMismatchError(f"segment_sum: idx length {idx.shape} vs rows {x.shape[-2]}")
     data = _scatter_add(x.data, idx, n_segments)
 
-    def backward(out):
-        ux = x._uid
-        return lambda g: [(ux, np.take(g, idx, axis=-2))]
+    def backward(out, want):
+        return lambda g: [np.take(g, idx, axis=-2)]
 
     return _finish(data, [x], backward)
 
@@ -843,34 +823,28 @@ def mlp_ln(terms, w1, b1, w2, b2, gain, bias) -> Tensor:
     h = _dense([(z, None)], w2.data, b2.data)
     out_data, xhat, istd = _layer_norm(h, gain.data, bias.data, out=h)
 
-    def backward(out):
-        uids1 = [_tracked_uid(t) for t in (*xs, w1, b1)]
-        uw2, ub2, ugain, ubias = (_tracked_uid(p) for p in (w2, b2, gain, bias))
+    def backward(out, want):
         # per layer: the flags of its input gradients, its weights' and its bias'
-        want1 = [u is not None for u in uids1]
-        want2 = [any(want1), uw2 is not None, ub2 is not None]
-        want_norm = [any(want2), ugain is not None, ubias is not None]
-        w1_data = w1.data if any(x.requires_grad for x in xs) else None
-        saved = [x.data for x in xs] if w1.requires_grad else None
+        want1 = want[:-4]
+        want2 = [any(want1), *want[-4:-2]]
+        want_norm = [any(want2), *want[-2:]]
+        w1_data = w1.data if any(want1[:-2]) else None
+        saved = [x.data for x in xs] if want1[-2] else None
         w2_data = w2.data if want2[0] else None
         g_data = gain.data if want_norm[0] else None
-        relu_out = z if w2.requires_grad else None
+        relu_out = z if want2[1] else None
         mask = z > 0.0 if want2[0] and relu_out is None else None
         second = [(z.shape, None)]
 
         def run(g):
-            gh, *grads = _layer_norm_backward(g, xhat, istd, g_data, want_norm)
+            gh, *norm = _layer_norm_backward(g, xhat, istd, g_data, want_norm)
             del g
-            pairs = _pairs((ugain, ubias), grads)
-            if gh is None:
-                return pairs
-            gz, *grads = _dense_backward(gh, second, w2_data, [relu_out], want2)
+            gz, *dense2 = [None] * 3 if gh is None else _dense_backward(gh, second, w2_data, [relu_out], want2)
             del gh
-            pairs += _pairs((uw2, ub2), grads)
             if gz is None:
-                return pairs
+                return [None] * len(want1) + dense2 + norm
             gz *= mask if relu_out is None else relu_out > 0.0
-            return pairs + _pairs(uids1, _dense_backward(gz, first, w1_data, saved, want1))
+            return _dense_backward(gz, first, w1_data, saved, want1) + dense2 + norm
 
         return run
 
@@ -906,13 +880,13 @@ def soft_maximum(x, tau: float) -> Tensor:
     num = (x.data * e).sum()
     den = e.sum()
 
-    def backward(out):
-        ux, x_data = x._uid, x.data
+    def backward(out, want):
+        x_data = x.data
 
         def run(g):
             gn = g / den
             gd = -g * num / (den * den)
-            return [(ux, gn * e + (gd + gn * x_data) * e * inv_tau)]
+            return [gn * e + (gd + gn * x_data) * e * inv_tau]
 
         return run
 
@@ -947,15 +921,13 @@ def binary_cross_entropy(p, labels) -> Tensor:
     pc = np.clip(p.data, lo, hi)
     term = y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)
 
-    def backward(out):
-        up = p._uid
-
+    def backward(out, want):
         def run(g):
             gm = np.broadcast_to(-g, pc.shape) / pc.size
             gp = -(gm * (1.0 - y) / (1.0 - pc)) + gm * y / pc
             # pc lies strictly inside the clamp exactly where p does
             gp *= (pc > lo) & (pc < hi)
-            return [(up, gp)]
+            return [gp]
 
         return run
 

@@ -169,7 +169,7 @@ def _part_term(h, rows, w):
 def _failing_copy(x: dc.Tensor) -> dc.Tensor:
     """A copy of ``x`` whose backward raises."""
 
-    def make_backward(out):
+    def make_backward(out, want):
         def run(g):
             raise FloatingPointError("part backward failed")
 
@@ -495,7 +495,7 @@ class TestMlpLn:
         tensors = [dc.Tensor(a, requires_grad=i < 2 or trained) for i, a in enumerate(arrays)]
         with dc.Tape() as tape:
             fused(*tensors)
-        (_, run), = tape._ops
+        (_, _, run), = tape._ops
         kept = [c.cell_contents for c in run.__closure__ if isinstance(c.cell_contents, np.ndarray)]
         masks = [a for a in kept if a.dtype == bool]
         relu_out = [a for a in kept if a.dtype == np.float64 and a.shape == (3, 7, 6)]
@@ -965,3 +965,42 @@ def test_backward_does_not_retain_unread_input(op):
     grad = tape.gradient(out, x)
     fd = central_difference(lambda v: _weighted_total(op(dc.add(dc.Tensor(v), dc.Tensor(v)))).item(), x0, 1e-5)
     assert np.max(np.abs(grad - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize(
+    "op, shapes",
+    [(dc.add, [(3, 4), (4,)]), (dc.div, [(3, 4), (1, 4)]), (dc.matmul, [(2, 3, 4), (4, 5)])],
+    ids=["add", "div", "matmul"],
+)
+@pytest.mark.parametrize("which", [0, 1], ids=["first", "second"])
+def test_operand_gradient_does_not_depend_on_the_other_being_tracked(op, shapes, which):
+    arrays = [np.random.default_rng(27).uniform(0.5, 2.0, s) for s in shapes]
+
+    def gradients(tracked):
+        tensors = [dc.Tensor(a, requires_grad=t) for a, t in zip(arrays, tracked)]
+        with dc.Tape() as tape:
+            out = _weighted_total(op(*tensors))
+        return tape.gradient(out, tensors[which])
+
+    alone = gradients([i == which for i in range(2)])
+    assert np.array_equal(alone, gradients([True, True]))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mlp_ln_gradients_do_not_depend_on_which_inputs_are_tracked(seed):
+    # the subsets leave some of each layer's flags unset, so each layer's
+    # slice of the input flags must reach its own gradients
+    arrays, fused, _ = mlp_ln_case(29)
+    tracked = np.random.default_rng(seed).random(len(arrays)) < 0.5
+    tracked[seed], tracked[(seed + 3) % len(arrays)] = True, False
+
+    def gradients(flags):
+        tensors = [dc.Tensor(a, requires_grad=bool(f)) for a, f in zip(arrays, flags)]
+        with dc.Tape() as tape:
+            out = _weighted_total(fused(*tensors))
+        return tape.gradient(out, [t for t in tensors if t.requires_grad])
+
+    every = gradients([True] * len(arrays))
+    some = gradients(tracked)
+    for i, g in zip(np.flatnonzero(tracked), some):
+        assert np.array_equal(g, every[i]), f"input {i}"
