@@ -134,13 +134,16 @@ class Tape:
     Use as a context manager; ops run inside the block are recorded (on
     the innermost active tape only), each as its output uids, its input
     uids and a backward closure (see :func:`_finish`).  The tape alone
-    pairs the gradients a backward returns with the input uids.  The uids
-    a tape saw but no op of it produced are what its ops read from
-    outside; a :func:`map_rows` op takes them off its part tapes as its
-    inputs.  A tape records on the one thread that entered it.  Its
-    reverse pass runs on the thread that calls :meth:`gradient`, except
-    that a :func:`map_rows` op pulls its part tapes back on the pool.
-    The reverse pass drops each op as it runs it, so a tape gives one
+    pairs the gradients a backward returns with the input uids.  As it
+    records an op, the tape adds the op's output uids to ``_produced`` and
+    its input uids to ``_read``; ``_read - _produced`` is what its ops read
+    from outside, and a :func:`map_rows` op takes that off its part tapes
+    as its inputs.  :meth:`gradient` checks its output and inputs against
+    the two sets before the reverse pass runs.  A tape records on the one
+    thread that entered it, and tapes exit innermost first.  Its reverse
+    pass runs on the thread that calls :meth:`gradient`, except that a
+    :func:`map_rows` op pulls its part tapes back on the pool.  The
+    reverse pass drops each op as it runs it, so a tape gives one
     gradient.
     """
 
@@ -148,6 +151,8 @@ class Tape:
         # (output uids, input uids, backward): the backward takes one
         # gradient, or None, per output and returns one per input
         self._ops: list[tuple[tuple[int, ...], list, object]] = []
+        self._produced: set[int] = set()
+        self._read: set[int] = set()
         self._pulled = False
 
     def __enter__(self):
@@ -155,12 +160,19 @@ class Tape:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
-        assert popped is self
+        stack = _tape_stack()
+        if not stack or stack[-1] is not self:
+            raise DiffcoreError("a tape exited before the tape entered inside it; tapes exit innermost first")
+        stack.pop()
         return False
 
     def _record(self, outs, input_uids, backward) -> None:
-        self._ops.append((tuple(o._uid for o in outs), input_uids, backward))
+        uids = tuple(o._uid for o in outs)
+        self._ops.append((uids, input_uids, backward))
+        self._produced.update(uids)
+        # an input that needs no gradient is recorded as None
+        self._read.update(input_uids)
+        self._read.discard(None)
 
     def gradient(self, output: Tensor, inputs):
         """Gradients of a recorded scalar with respect to ``inputs``.
@@ -172,14 +184,21 @@ class Tape:
         Returns:
             One ndarray (or a list matching ``inputs``), each shaped like
             the corresponding input.  An input that was recorded but does
-            not influence the output gets a zero gradient.
+            not influence the output gets a zero gradient, and so does
+            every input of an output that needs no gradient.
+
+        Every check runs before the reverse pass, so a call that raises
+        leaves the tape as it was.
 
         Raises:
-            DiffcoreError: this tape has already been pulled back; it
-                freed what it recorded as it went.
+            DiffcoreError: this tape has already been pulled back (it
+                freed what it recorded as it went), or ``output`` needs a
+                gradient but this tape neither produced nor read it
+                (typically it was computed with no tape, or on another).
             NotScalarOutputError: ``output`` is not size-1.
-            InputNotOnTapeError: an input never appeared on this tape
-                (typically it was created without ``requires_grad``).
+            InputNotOnTapeError: an input other than ``output`` never
+                appeared on this tape (typically it was created without
+                ``requires_grad``).
         """
         if self._pulled:
             raise DiffcoreError("this tape has already given its gradient; record on a new tape")
@@ -187,21 +206,20 @@ class Tape:
         wanted = [inputs] if single else list(inputs)
         if output.size != 1:
             raise NotScalarOutputError(f"output has shape {output.shape}; expected a scalar")
+        seen = self._produced | self._read
+        if output.requires_grad and output._uid not in seen:
+            raise DiffcoreError("output was not computed on this tape; compute it inside the tape context")
+        if any(t._uid != output._uid and t._uid not in seen for t in wanted):
+            raise InputNotOnTapeError(
+                "input was never recorded on this tape; create it with "
+                "requires_grad=True and use it inside the tape context"
+            )
 
         self._pulled = True
-        seen = _seen(self._ops)
         grads = self._pullback({output._uid: np.ones_like(output.data)})
         results = []
         for t in wanted:
-            if t._uid == output._uid:
-                results.append(np.ones_like(t.data))
-                continue
-            if t._uid not in seen:
-                raise InputNotOnTapeError(
-                    "input was never recorded on this tape; create it with "
-                    "requires_grad=True and use it inside the tape context"
-                )
-            g = grads.get(t._uid)
+            g = np.ones_like(t.data) if t._uid == output._uid else grads.get(t._uid)
             results.append(np.zeros_like(t.data) if g is None else np.asarray(g))
         return results[0] if single else results
 
@@ -225,16 +243,6 @@ class Tape:
             elif any(uid in grads for uid in outs):
                 _add_gradients(grads, ins, backward(*[grads.pop(uid, None) for uid in outs]))
         return grads
-
-
-def _seen(ops) -> set:
-    """The uids the recorded ``ops`` produced or read."""
-    seen = set()
-    for outs, ins, _ in ops:
-        seen.update(outs)
-        seen.update(ins)
-    seen.discard(None)
-    return seen
 
 
 def _add_gradients(grads: dict, uids, gradients) -> None:
@@ -356,24 +364,25 @@ def map_rows(fn, parts):
 
     With no active tape this is the concatenation and nothing more.
     Otherwise each ``fn(p)`` runs on the calling thread under a tape of
-    its own, and the tracked tensors a part read or returned but did not
-    produce (the tensors from outside it, and leaves it created) become
-    the inputs of one op, in one fixed order, with every stacked output,
-    recorded on the active tape.  Its backward seeds each part tape with
-    its row slices of all the output gradients, pulls the parts back on a
-    pool of :data:`POOL_WORKERS` threads, and returns each input's
-    gradient summed over the parts in reverse part order, the order one
-    tape over every part would add them in, or None for an input no part
-    pulled a gradient back to.  With one worker, or when the backward
-    already runs on a pool thread (a nested ``map_rows``), the parts are
-    pulled back inline.
+    its own.  What that tape read but did not produce, and the tracked
+    tensors the part returned but did not produce (the tensors from
+    outside it, and leaves it created), become the inputs of one op, in
+    one fixed order, with every stacked output, recorded on the active
+    tape.  Its backward seeds each part tape with its row slices of all
+    the output gradients, pulls the parts back on a pool of
+    :data:`POOL_WORKERS` threads, and returns each input's gradient
+    summed over the parts in reverse part order, the order one tape over
+    every part would add them in, or None for an input no part pulled a
+    gradient back to.  With one worker, or when the backward already
+    runs on a pool thread (a nested ``map_rows``), the parts are pulled
+    back inline.
 
     Raises:
         ShapeMismatchError: there are no parts, a part returns no tuple,
             their output counts differ, or their outputs do not stack by
             rows.
-        DiffcoreError: a part reads a tracked tensor another part
-            produced; its gradient could not reach that part.
+        DiffcoreError: a part reads or returns a tracked tensor another
+            part produced; its gradient could not reach that part.
     """
     tape = _active_tape()
     results, tapes = [], []
@@ -392,13 +401,12 @@ def map_rows(fn, parts):
         Tensor(_row_stack(column), requires_grad=tape is not None and any(o.requires_grad for o in column))
         for column in columns
     )
-    # per part, the uids its own ops produced; every other tracked tensor
-    # it read or returned came from outside it
-    owns = [set().union(*(outs for outs, _, _ in t._ops)) for t in tapes]
+    # every tracked tensor a part read or returned but did not produce
+    # came from outside it
     read = set().union(
-        *((_seen(t._ops) | {o._uid for o in r if o.requires_grad}) - own for t, r, own in zip(tapes, results, owns))
+        *((t._read | {o._uid for o in r if o.requires_grad}) - t._produced for t, r in zip(tapes, results))
     )
-    if read & set().union(*owns):
+    if read & set().union(*(t._produced for t in tapes)):
         raise DiffcoreError("map_rows: a part reads a tracked tensor another part produced")
     if any(o.requires_grad for o in stacked):
         read = list(read)

@@ -741,8 +741,28 @@ class TestTapeMechanics:
         stranger = dc.Tensor(np.zeros(3), requires_grad=True)
         with dc.Tape() as tape:
             y = total(dc.add(x, x))
+        # an output the tape neither produced nor read would get zeros for
+        # every input, however it depends on them
+        outside = dc.soft_maximum(dc.add(x, x), 1.0)
+        # the checks run before any backward, so the tape is not spent
+        calls, (outs, ins, run) = [], tape._ops[-1]
+
+        def spy(g):
+            calls.append(g)
+            return run(g)
+
+        tape._ops[-1] = (outs, ins, spy)
+        ops = list(tape._ops)
         with pytest.raises(dc.InputNotOnTapeError):
             tape.gradient(y, stranger)
+        with pytest.raises(dc.InputNotOnTapeError):
+            tape.gradient(y, [x, stranger])
+        for wrt in (x, outside):
+            with pytest.raises(dc.DiffcoreError, match="not computed on this tape"):
+                tape.gradient(outside, wrt)
+        assert calls == [] and tape._ops == ops
+        assert np.array_equal(tape.gradient(y, x), np.full(3, 2.0))
+        assert len(calls) == 1
 
     def test_untracked_input_not_on_tape(self):
         x = dc.Tensor(np.ones(3))  # requires_grad left False
@@ -758,6 +778,12 @@ class TestTapeMechanics:
             y = total(dc.add(x, x))
             dc.add(z, 3.0)  # on tape, but not part of y
         assert np.array_equal(tape.gradient(y, z), np.zeros(2))
+        # an untracked output, on no tape, depends on no tracked input
+        with dc.Tape() as tape:
+            dc.add(z, 3.0)
+        untracked = total(dc.add(np.ones(2), 1.0))
+        assert not untracked.requires_grad
+        assert np.array_equal(tape.gradient(untracked, z), np.zeros(2))
 
     def test_no_tape_means_no_recording(self):
         x = dc.Tensor(np.ones(3), requires_grad=True)
@@ -779,6 +805,29 @@ class TestTapeMechanics:
         with dc.Tape() as tape:
             y = dc.add(x, x)
         assert tape.gradient(y, y).item() == 1.0
+        # a leaf the tape read is an output on it too
+        with dc.Tape() as tape:
+            y = dc.add(x, x)
+        gx, gy = tape.gradient(x, [x, y])
+        assert gx.item() == 1.0 and gy.item() == 0.0
+
+    def test_tapes_exit_innermost_first(self):
+        x = dc.Tensor(np.ones(2), requires_grad=True)
+        outer = dc.Tape().__enter__()
+        inner = dc.Tape().__enter__()
+        try:
+            # the out-of-order exit pops nothing: inner still records
+            with pytest.raises(dc.DiffcoreError, match="innermost first"):
+                outer.__exit__(None, None, None)
+            dc.add(x, x)
+            assert len(inner._ops) == 1 and outer._ops == []
+        finally:
+            inner.__exit__(None, None, None)
+            outer.__exit__(None, None, None)
+        dc.add(x, x)
+        assert len(inner._ops) == 1 and outer._ops == []
+        with pytest.raises(dc.DiffcoreError, match="innermost first"):
+            outer.__exit__(None, None, None)
 
     def test_item_reads_any_size_one_tensor(self):
         # the sizes Tape.gradient accepts as a scalar output
