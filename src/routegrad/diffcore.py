@@ -9,28 +9,28 @@ overhead.
 Retention contract: a backward closure never holds an input ``Tensor``.
 When an op records itself the tape keeps its input uids, and the closure
 keeps only the shapes and flags its formula needs and the arrays the
-formula reads.  ReLU keeps a boolean mask, sigmoid its output, layer
-normalization the standardized values and the inverse deviations, a
-quotient or matrix product an operand only when the other side needs
-its gradient, binary cross-entropy the clamped probabilities and the
-labels, and a row map (``map_rows``) its part tapes, their row ranges
-and the uids it seeds and reads the part tapes' gradients under.  The
-one dense kernel, behind ``affine_sum`` and both layers of the fused MLP
-block (``mlp_ln``), keeps its inputs only when its weights need a
-gradient and its weights only when an input does.
+formula reads.  ReLU keeps a mask packed eight entries to a byte,
+sigmoid its output, layer normalization the standardized values and the
+inverse deviations, a quotient or matrix product an operand only when
+the other side needs its gradient, binary cross-entropy the clamped
+probabilities and the labels, and a row map (``map_rows``) its part
+tapes, their row ranges and the uids it seeds and reads the part tapes'
+gradients under.  The one dense kernel, behind ``affine_sum`` and both
+layers of the fused MLP block (``mlp_ln``), keeps its inputs only when
+its weights need a gradient and its weights only when an input does.
 So ``mlp_ln`` keeps what its unfused chain would: the standardized
-values, the inverse deviations and a boolean ReLU mask, or the ReLU
-output in place of the mask when its second weights need a gradient.
-An intermediate activation is therefore freed as soon as the forward
-pass drops it, and a batched-GNN gradient with fixed parameters retains
-about one f64 standardized block plus one boolean mask per processed
-latent element, not the whole forward graph.  The exceptions are inputs
-a formula needs (``div`` keeps its divisor, ``soft_maximum`` its
-argument beside the exponentials) and views: a ``reshape`` output
-shares its input's buffer, so it keeps it alive for as long as the
-caller holds it.  The reverse pass drops each op, and with it what the
-op kept, once its backward has run, so what a tape retains is freed as
-the pass unwinds, and a tape gives one gradient.
+values, the inverse deviations and a ReLU mask packed eight entries to a
+byte, or the ReLU output in place of the mask when its second weights
+need a gradient.  An intermediate activation is therefore freed as soon
+as the forward pass drops it, and a batched-GNN gradient with fixed
+parameters retains about one f64 standardized value plus one mask bit
+per processed latent element, not the whole forward graph.  The
+exceptions are inputs a formula needs (``div`` keeps its divisor,
+``soft_maximum`` its argument beside the exponentials) and views: a
+``reshape`` output shares its input's buffer, so it keeps it alive for
+as long as the caller holds it.  The reverse pass drops each op, and
+with it what the op kept, once its backward has run, so what a tape
+retains is freed as the pass unwinds, and a tape gives one gradient.
 
 The two objectives the weight optimizer and the surrogate's training
 descend, the temperature-weighted soft maximum and binary cross-entropy,
@@ -41,6 +41,7 @@ update rule.
 from __future__ import annotations
 
 import collections
+import contextlib
 import itertools
 import os
 import threading
@@ -139,12 +140,13 @@ class Tape:
     its input uids to ``_read``; ``_read - _produced`` is what its ops read
     from outside, and a :func:`map_rows` op takes that off its part tapes
     as its inputs.  :meth:`gradient` checks its output and inputs against
-    the two sets before the reverse pass runs.  A tape records on the one
-    thread that entered it, and tapes exit innermost first.  Its reverse
-    pass runs on the thread that calls :meth:`gradient`, except that a
-    :func:`map_rows` op pulls its part tapes back on the pool.  The
-    reverse pass drops each op as it runs it, so a tape gives one
-    gradient.
+    the two sets before the reverse pass runs.  A tape records on the
+    thread that entered it, and one thread at a time enters it: a
+    :func:`map_rows` part tape may be entered on a pool thread and then
+    on the calling thread.  Tapes exit innermost first.  The reverse pass runs on the thread that calls
+    :meth:`gradient`, except that a :func:`map_rows` op pulls its part
+    tapes back on the pool.  The reverse pass drops each op as it runs it,
+    so a tape gives one gradient.
     """
 
     def __init__(self):
@@ -349,33 +351,37 @@ def _row_stack(outs) -> np.ndarray:
     return np.concatenate([o.data for o in outs], axis=0)
 
 
-def map_rows(fn, parts):
-    """Row concatenation of ``fn(p)`` over ``parts``, pulled back in parallel.
+def map_rows(fn, parts, finish=None):
+    """Row concatenation of ``finish(fn(p))`` over ``parts``, run on the pool.
 
     Args:
         fn: Maps one part to a tuple of Tensors of at least one axis, of
-            one length for every part; each output must agree across the
-            parts on every axis past the first.
+            one length for every part (or, with ``finish``, to what
+            ``finish`` takes); each output must agree across the parts on
+            every axis past the first.
         parts: Non-empty sequence of arguments for ``fn``; they are not
             differentiated.
+        finish: None, or a function from what ``fn`` returns to the
+            part's tuple of Tensors.
 
     Returns:
         The tuple of row-stacked Tensors, one per output.
 
-    With no active tape this is the concatenation and nothing more.
-    Otherwise each ``fn(p)`` runs on the calling thread under a tape of
-    its own.  What that tape read but did not produce, and the tracked
-    tensors the part returned but did not produce (the tensors from
-    outside it, and leaves it created), become the inputs of one op, in
-    one fixed order, with every stacked output, recorded on the active
-    tape.  Its backward seeds each part tape with its row slices of all
-    the output gradients, pulls the parts back on a pool of
-    :data:`POOL_WORKERS` threads, and returns each input's gradient
-    summed over the parts in reverse part order, the order one tape over
-    every part would add them in, or None for an input no part pulled a
-    gradient back to.  With one worker, or when the backward already
-    runs on a pool thread (a nested ``map_rows``), the parts are pulled
-    back inline.
+    Each ``fn(p)`` runs on a pool of :data:`POOL_WORKERS` threads, at most
+    ``POOL_WORKERS + 1`` parts in flight, and each ``finish`` on the
+    calling thread, in part order.  With no active tape that is all.
+    Otherwise both steps of a part record on one tape of its own, which
+    one thread at a time enters.  What that tape read but did not produce,
+    and the tracked tensors the part returned but did not produce (the
+    tensors from outside it, and leaves it created), become the inputs of
+    one op, in one fixed order, with every stacked output, recorded on the
+    active tape.  Its backward seeds each part tape with its row slices of
+    all the output gradients, pulls the parts back on the pool, and
+    returns each input's gradient summed over the parts in reverse part
+    order, the order one tape over every part would add them in, or None
+    for an input no part pulled a gradient back to.  With one worker, or
+    on a pool thread (a nested ``map_rows``, forward or backward), the
+    parts run inline on the calling thread.
 
     Raises:
         ShapeMismatchError: there are no parts, a part returns no tuple,
@@ -383,16 +389,16 @@ def map_rows(fn, parts):
             rows.
         DiffcoreError: a part reads or returns a tracked tensor another
             part produced; its gradient could not reach that part.
+        Whatever ``fn`` or ``finish`` raises, once no part is running.
     """
     tape = _active_tape()
-    results, tapes = [], []
-    for p in parts:
-        if tape is None:
-            results.append(fn(p))
-            continue
-        with Tape() as part_tape:
-            results.append(fn(p))
-        tapes.append(part_tape)
+    parts = list(parts)
+    tapes = [Tape() if tape is not None else None for _ in parts]
+    results = []
+    with contextlib.closing(_pool_map(_on_tape, [(t, fn, p) for t, p in zip(tapes, parts)])) as done:
+        for part_tape, r in zip(tapes, done):
+            results.append(r if finish is None else _on_tape(part_tape, finish, r))
+            del r
     if not results or any(not isinstance(r, tuple) or len(r) != len(results[0]) for r in results):
         counts = [len(r) if isinstance(r, tuple) else type(r).__name__ for r in results]
         raise ShapeMismatchError(f"map_rows: part output counts {counts}; each part returns a tuple of one length")
@@ -401,6 +407,8 @@ def map_rows(fn, parts):
         Tensor(_row_stack(column), requires_grad=tape is not None and any(o.requires_grad for o in column))
         for column in columns
     )
+    if tape is None:
+        return stacked
     # every tracked tensor a part read or returned but did not produce
     # came from outside it
     read = set().union(
@@ -427,7 +435,7 @@ def map_rows(fn, parts):
                 if seeds:
                     jobs.append((part_tape, seeds))
             totals: dict[int, np.ndarray] = {}
-            for grads in _pull_back_parts(jobs):
+            for grads in _pool_map(Tape._pullback, jobs):
                 _add_gradients(totals, read, [grads.get(u) for u in read])
                 del grads
             return [totals.get(u) for u in read]
@@ -436,9 +444,18 @@ def map_rows(fn, parts):
     return stacked
 
 
-# Threads that pull map_rows parts back: one per CPU this process may run
-# on.  The pool starts on first use, so importing the package starts none,
-# and concurrent.futures (about 0.5 MB resident) is imported only then.
+def _on_tape(part_tape, fn, arg):
+    """``fn(arg)``, recorded on ``part_tape`` unless it is None."""
+    if part_tape is None:
+        return fn(arg)
+    with part_tape:
+        return fn(arg)
+
+
+# Threads that run map_rows parts, forward and back: one per CPU this
+# process may run on.  The pool starts on first use, so importing the
+# package starts none, and concurrent.futures (about 0.5 MB resident) is
+# imported only then.
 if hasattr(os, "sched_getaffinity"):
     POOL_WORKERS = len(os.sched_getaffinity(0))
 else:
@@ -451,43 +468,40 @@ def _mark_pool_thread() -> None:
     _tls.pool_thread = True
 
 
-def _pull_back_parts(jobs):
-    """Yields ``tape._pullback(seeds)`` for each ``(tape, seeds)`` job, in order.
+def _pool_map(run, jobs):
+    """Yields ``run(*job)`` for each job, in order, the jobs run on the pool.
 
     The jobs go to the pool in order, at most ``POOL_WORKERS + 1`` of
     them submitted and not yet yielded at a time: each finished part
-    holds a gradient for every outside tensor it read, and the one job
-    beyond the workers is there for a worker that finishes before the
-    part ahead of it, which would otherwise wait idle until that part is
-    yielded.  The jobs run inline instead when there is one worker or the
-    caller is itself a pool thread: a pool thread that waited on the pool
-    could leave no worker free to run what it waits for.
+    holds its outputs, or a gradient for every outside tensor it read, and
+    the one job beyond the workers is there for a worker that finishes
+    before the part ahead of it, which would otherwise wait idle until
+    that part is yielded.  The jobs run inline instead when there is one
+    worker or the caller is itself a pool thread: a pool thread that
+    waited on the pool could leave no worker free to run what it waits
+    for.  Once an error reaches the caller, or the caller stops early, no
+    job is left running.
     """
     global _pool
     if POOL_WORKERS <= 1 or len(jobs) <= 1 or getattr(_tls, "pool_thread", False):
-        for part_tape, seeds in jobs:
-            yield part_tape._pullback(seeds)
+        for job in jobs:
+            yield run(*job)
         return
     from concurrent.futures import ThreadPoolExecutor, wait
 
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(
-                POOL_WORKERS, thread_name_prefix="diffcore-pullback", initializer=_mark_pool_thread
-            )
+            _pool = ThreadPoolExecutor(POOL_WORKERS, thread_name_prefix="diffcore-pool", initializer=_mark_pool_thread)
     pending = iter(jobs)
-    futures = collections.deque(
-        _pool.submit(part_tape._pullback, seeds) for part_tape, seeds in itertools.islice(pending, POOL_WORKERS + 1)
-    )
+    futures = collections.deque(_pool.submit(run, *job) for job in itertools.islice(pending, POOL_WORKERS + 1))
     try:
         while futures:
-            grads = futures.popleft().result()
-            for part_tape, seeds in itertools.islice(pending, 1):
-                futures.append(_pool.submit(part_tape._pullback, seeds))
-            yield grads
-            del grads
+            result = futures.popleft().result()
+            for job in itertools.islice(pending, 1):
+                futures.append(_pool.submit(run, *job))
+            yield result
+            del result
     finally:
-        # on an error, no part is left running once it reaches the caller
         for f in futures:
             f.cancel()
         wait(futures)
@@ -595,7 +609,10 @@ def _dense_backward(g: np.ndarray, terms, weights, xs, wanted) -> list:
             gt = g if idx is None else _scatter_add(g, idx, shape[-2])
             gt = _unbroadcast(gt, shape[:-1] + (n_out,)).reshape(-1, n_out)
             if want_x:
-                gx = (gt @ weights[:, lo:hi]).reshape(shape)
+                # with one output unit each entry is one product, so the
+                # broadcast product forms the K=1 gemm's entries, faster
+                block = weights[:, lo:hi]
+                gx = (gt * block if n_out == 1 else gt @ block).reshape(shape)
             if want_w:
                 gw[:, lo:hi] = gt.T @ xs[k].reshape(-1, hi - lo)
         grads.append(gx)
@@ -635,13 +652,24 @@ def affine_sum(xs, weights, bias=None) -> Tensor:
     return _finish(out_data, [*xs, weights, bias], backward)
 
 
+def _pack_mask(mask: np.ndarray) -> np.ndarray:
+    """A boolean array of at least one axis, eight entries a byte along the last."""
+    return np.packbits(mask, axis=-1)
+
+
+def _unpack_mask(packed: np.ndarray, width: int) -> np.ndarray:
+    """The boolean array, ``width`` entries along the last axis, that :func:`_pack_mask` packed."""
+    return np.unpackbits(packed, axis=-1, count=width).view(bool)
+
+
 def relu(x) -> Tensor:
     x = as_tensor(x)
     data = np.maximum(x.data, 0.0)
 
     def backward(out, want):
-        mask = x.data > 0.0
-        return lambda g: [g * mask]
+        shape, size = x.shape, x.size
+        packed = _pack_mask((x.data > 0.0).reshape(-1))
+        return lambda g: [g * _unpack_mask(packed, size).reshape(shape)]
 
     return _finish(data, [x], backward)
 
@@ -801,11 +829,15 @@ def mlp_ln(terms, w1, b1, w2, b2, gain, bias) -> Tensor:
     layer ``z`` sums ``b1`` and the terms' products with ``w1``.
 
     Args:
-        terms: Non-empty list of ``(x, idx)``.  Each ``x`` ``[..., n_i]``
-            multiplies its own column block of ``w1``, the blocks tiling
-            the columns in list order.  With an ``idx``, the projected rows
-            are gathered along axis -2 as :func:`index_rows` does; the
-            terms may broadcast against each other over leading axes.
+        terms: Non-empty list of ``(x, idx)`` or ``(x, idx, n_segments)``.
+            Each ``x`` ``[..., n_i]`` multiplies its own column block of
+            ``w1``, the blocks tiling the columns in list order.  With an
+            ``idx`` alone, the projected rows are gathered along axis -2
+            as :func:`index_rows` does; with ``n_segments`` too, the rows
+            of ``x`` are first summed into ``n_segments`` buckets as
+            :func:`segment_sum` does, and a summed term is added with the
+            ones that have no ``idx``.  The terms may broadcast against
+            each other over leading axes.
         w1: ``[n_hidden, sum n_i]``; ``b1``: ``[n_hidden]``.
         w2: ``[n_out, n_hidden]``; ``b2``, ``gain``, ``bias``: ``[n_out]``.
 
@@ -813,20 +845,28 @@ def mlp_ln(terms, w1, b1, w2, b2, gain, bias) -> Tensor:
     order of the first layer's sum, and ReLU and the standardization run
     in place, so the values are bit for bit the unfused chain's.
     """
-    terms = [(as_tensor(x), idx) for x, idx in terms]
+    terms = [(as_tensor(x), *rest) for x, *rest in terms]
     w1, b1, w2, b2, gain, bias = (as_tensor(p) for p in (w1, b1, w2, b2, gain, bias))
-    xs = [x for x, _ in terms]
-    _check_dense("mlp_ln", [x.shape[-1] for x in xs], w1, b1)
+    xs = [x for x, *_ in terms]
+    # per term: its segment index or None, and its input to the kernel
+    segments, kernel = [], []
+    for x, idx, *n_segments in terms:
+        if idx is not None and x.ndim < 2:
+            raise ShapeMismatchError(f"mlp_ln: a gathered or summed term needs rows, got shape {x.shape}")
+        if n_segments:
+            (n,) = n_segments
+            idx = _row_indices(idx, n, "mlp_ln")
+            if idx.shape != (x.shape[-2],):
+                raise ShapeMismatchError(f"mlp_ln: segment index length {idx.shape} vs rows {x.shape[-2]}")
+            segments.append(idx)
+            kernel.append((_scatter_add(x.data, idx, n), None))
+        else:
+            segments.append(None)
+            kernel.append((x.data, None if idx is None else _row_indices(idx, x.shape[-2], "mlp_ln")))
+    _check_dense("mlp_ln", [x.shape[-1] for x, _ in kernel], w1, b1)
     _check_dense("mlp_ln", [w1.shape[0]], w2, b2)
     _check_norm_params("mlp_ln", w2.shape[0], gain, bias)
-    first = []
-    for x, idx in terms:
-        if idx is not None:
-            if x.ndim < 2:
-                raise ShapeMismatchError(f"mlp_ln: a gathered term needs rows, got shape {x.shape}")
-            idx = _row_indices(idx, x.shape[-2], "mlp_ln")
-        first.append((x.shape, idx))
-    z = _dense([(x.data, idx) for x, (_, idx) in zip(xs, first)], w1.data, b1.data)
+    z = _dense(kernel, w1.data, b1.data)
     np.maximum(z, 0.0, out=z)
     h = _dense([(z, None)], w2.data, b2.data)
     out_data, xhat, istd = _layer_norm(h, gain.data, bias.data, out=h)
@@ -836,12 +876,13 @@ def mlp_ln(terms, w1, b1, w2, b2, gain, bias) -> Tensor:
         want1 = want[:-4]
         want2 = [any(want1), *want[-4:-2]]
         want_norm = [any(want2), *want[-2:]]
+        first = [(x.shape, idx) for x, idx in kernel]
         w1_data = w1.data if any(want1[:-2]) else None
-        saved = [x.data for x in xs] if want1[-2] else None
+        saved = [x for x, _ in kernel] if want1[-2] else None
         w2_data = w2.data if want2[0] else None
         g_data = gain.data if want_norm[0] else None
         relu_out = z if want2[1] else None
-        mask = z > 0.0 if want2[0] and relu_out is None else None
+        packed = _pack_mask(z > 0.0) if want2[0] and relu_out is None else None
         second = [(z.shape, None)]
 
         def run(g):
@@ -851,8 +892,12 @@ def mlp_ln(terms, w1, b1, w2, b2, gain, bias) -> Tensor:
             del gh
             if gz is None:
                 return [None] * len(want1) + dense2 + norm
-            gz *= mask if relu_out is None else relu_out > 0.0
-            return _dense_backward(gz, first, w1_data, saved, want1) + dense2 + norm
+            gz *= _unpack_mask(packed, gz.shape[-1]) if relu_out is None else relu_out > 0.0
+            *gxs, gw, gb = _dense_backward(gz, first, w1_data, saved, want1)
+            del gz
+            # a summed term's rows each get the gradient of their bucket
+            gxs = [gx if idx is None or gx is None else np.take(gx, idx, axis=-2) for gx, idx in zip(gxs, segments)]
+            return [*gxs, gw, gb] + dense2 + norm
 
         return run
 

@@ -9,9 +9,10 @@ yields a soft routing matrix that is differentiable with respect to the
 link weights, the matrix the weight optimizer descends through.
 :func:`forward` walks its queries in chunks sized so that the latent
 blocks in flight stay cache-resident (:data:`QUERY_BLOCK_BYTES`).  It
-runs the chunks one after another on the calling thread; on a tape, each
-chunk records on a tape of its own, and the reverse pass pulls the
-chunks back on :data:`diffcore.POOL_WORKERS` threads at once.
+runs the chunks' message passing on :data:`diffcore.POOL_WORKERS`
+threads at once and decodes each chunk on the calling thread, in chunk
+order; on a tape, each chunk records on a tape of its own, and the
+reverse pass pulls the chunks back on the same threads.
 
 Architecture: node features ``[I(u=i), I(v=i)]`` and edge features
 ``[w_k]`` are encoded independently by 2-layer MLPs, each followed by
@@ -25,12 +26,12 @@ dense layer over the concatenation, with N rows instead of E in two of
 its three products (Battaglia et al., 2018, "Relational inductive
 biases, deep learning, and graph networks").  Every MLP block (dense,
 ReLU, dense, layer norm) is one fused :func:`diffcore.mlp_ln` op: its
-first-layer terms, the gathers included, are summed in place inside it,
-its backward is written by hand, and the tape holds one record per
-block instead of one per element-wise step.  A shared
-decoder MLP with a sigmoid head reads edge latents; during training it is
-applied after every block so each block learns to refine the previous
-one's prediction.
+first-layer terms, the gathers and the node update's sum over incoming
+links included, are summed in place inside it, its backward is written
+by hand, and the tape holds one record per block instead of one per
+element-wise step.  A shared decoder MLP with a sigmoid head reads edge
+latents; during training it is applied after every block so each block
+learns to refine the previous one's prediction.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ CHECKPOINT_VERSION = 2
 NODE_FEATURES = 2
 EDGE_FEATURES = 1
 # Largest sum of the ``[chunk, n_e, hidden]`` latent blocks forward has in
-# flight at once.  Its backward pulls diffcore.POOL_WORKERS chunks
-# back in parallel, so a chunk's block is at most this // POOL_WORKERS.
+# flight at once.  Forward and backward each run diffcore.POOL_WORKERS
+# chunks in parallel, so a chunk's block is at most this // POOL_WORKERS.
 # Each op streams blocks of that size; at 1 MiB in all they stay resident
 # in a 2 MiB L2 cache between the element-wise passes instead of going out
 # to memory on every pass.
@@ -227,13 +228,14 @@ def forward(
     queries are split into near-equal chunks whose ``[chunk, n_e, hidden]``
     latent block is at most ``QUERY_BLOCK_BYTES // diffcore.POOL_WORKERS``.
     The chunk count is rounded up to a multiple of the pool's workers,
-    so that they share the pullbacks evenly, but never past one chunk
-    per query.  :func:`diffcore.map_rows` joins the chunks: their
-    forwards run in turn on the calling thread, and on a tape they are
-    pulled back in parallel, into whatever tracked tensors the chunks
-    read (the shared edge block, and the parameters when they are
-    tracked).  Queries do not interact, so each row is the one a single
-    batch of every query gives.
+    so that they share the chunks evenly, but never past one chunk per
+    query.  :func:`diffcore.map_rows` joins the chunks: their
+    message passing runs in parallel on the pool and their decoder on the
+    calling thread, in chunk order, and on a tape they are pulled back in
+    parallel, into whatever tracked tensors the chunks read (the shared
+    edge block, and the parameters when they are tracked).  Queries do
+    not interact, so each row is the one a single batch of every query
+    gives.
 
     Raises:
         GraphError: ``weights`` is not ``[n_e]`` or has a value outside
@@ -259,34 +261,35 @@ def forward(
     outs = dc.map_rows(
         lambda rows: _forward_chunk(g, edges, rows, model, mt, per_step),
         np.array_split(ind, chunks),
+        lambda blocks: tuple(_decode(block, mt) for block in blocks),
     )
     return outs[-1], (list(outs) if per_step else [])
 
 
 def _forward_chunk(g: Graph, edges, indicators: np.ndarray, model: GnnModel, mt, per_step: bool) -> tuple:
-    """The decoder outputs of one query chunk, every round's when ``per_step``.
+    """The edge blocks of one query chunk the decoder reads: every round's
+    when ``per_step``, else the last round's.
 
     ``edges`` is the encoded ``[1, n_e, H]`` link block all chunks share.
+    This runs on a pool thread, so every op here is one
+    :func:`diffcore.mlp_ln`, the sum of each node's incoming edge latents
+    included: the benchmark's span tracer (``perfbench/spans.py``) keeps
+    one stack of open spans for the process, so each op it traces must
+    run on the calling thread, and it does not trace ``mlp_ln``.
     """
     nodes = _mlp_ln([(dc.Tensor(indicators), None)], mt, "enc_node")
-    outs = []
+    blocks = []
     rounds = model.config.rounds
     for t in range(rounds):
         last = t == rounds - 1
         prefix = model.block_prefix(t)
         edges = _mlp_ln([(edges, None), (nodes, g.receivers), (nodes, g.senders)], mt, f"{prefix}_edge")
-        # the final node update feeds nothing the decoder can see; the
-        # aggregated block is passed inline so that it is freed as soon as
-        # the layer reading it returns
+        # the final node update feeds nothing the decoder can see
         if not last:
-            nodes = _mlp_ln(
-                [(dc.segment_sum(edges, g.receivers, g.node_count), None), (nodes, None)],
-                mt,
-                f"{prefix}_node",
-            )
+            nodes = _mlp_ln([(edges, g.receivers, g.node_count), (nodes, None)], mt, f"{prefix}_node")
         if per_step or last:
-            outs.append(_decode(edges, mt))
-    return tuple(outs)
+            blocks.append(edges)
+    return tuple(blocks)
 
 
 def predict_all_pairs(model: GnnModel, g: Graph, weights) -> dc.Tensor:

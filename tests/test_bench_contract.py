@@ -11,6 +11,7 @@ import ast
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,11 +73,26 @@ def test_benchmark_model_holds_no_dead_parameter():
     assert workloads.reached_parameter_names(model) == model.parameter_names()
 
 
+def thread_recording_tracer():
+    """A tracer, and the set of threads its spans opened on."""
+    tracer, threads = spans.Tracer(), set()
+    begin = tracer.begin
+
+    def recorded(name):
+        threads.add(threading.get_ident())
+        return begin(name)
+
+    tracer.begin = recorded
+    return tracer, threads
+
+
 def test_traced_train_step_runs_and_restores_originals():
     originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _ in spans.TARGETS]
     work = workloads.TrainN24(1)
-    with spans.installed(spans.Tracer()) as tracer:
+    tracer, threads = thread_recording_tracer()
+    with spans.installed(tracer):
         assert work.step() == work.batch
+    assert threads == {threading.get_ident()}
     totals = tracer.totals()
     assert totals["surrogate.forward"][0] == 1
     assert totals["diffcore.affine"][0] > 0 and totals["diffcore.affine_sum"][0] > 0
@@ -85,12 +101,15 @@ def test_traced_train_step_runs_and_restores_originals():
 
 def test_traced_descent_step_runs():
     # the tracer keeps one stack of open spans, so every traced call must
-    # run on the calling thread: the chunk forwards do, and only their
-    # untraced pullbacks run on the pool.  The decoder's one sigmoid per
-    # chunk counts the chunks.
+    # run on the calling thread.  The chunks' message passing runs on the
+    # pool, and so do their pullbacks, but neither calls a traced op; the
+    # decoder runs once per chunk on the calling thread, so its one
+    # sigmoid per chunk counts the chunks.
     work = workloads.DescentN24(1)
-    with spans.installed(spans.Tracer()) as tracer:
+    tracer, threads = thread_recording_tracer()
+    with spans.installed(tracer):
         assert work.step() == work.g.pair_count
+    assert threads == {threading.get_ident()}
     assert tracer._open == [] and all(span[2] > 0.0 for span in tracer.spans)
     totals = tracer.totals()
     workers = diffcore.POOL_WORKERS

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -106,6 +107,20 @@ class TestAffine:
         y = dc.affine(dc.Tensor(x), dc.Tensor(W))
         assert y.shape == (2, 5, 4)
         assert np.allclose(y.data, x @ W.T)
+
+
+class TestOneUnitLayer:
+    @pytest.mark.parametrize("rows", [1, 7, 640, 552 * 80])
+    def test_input_gradient_bitwise_equals_gemm(self, rows):
+        # the decoder's last layer, 64 hidden units to one: its input
+        # gradient, a broadcast product, is the K=1 gemm's bit for bit
+        rng = np.random.default_rng(rows)
+        h = dc.Tensor(rng.normal(size=(rows, 64)), requires_grad=True)
+        w = rng.normal(size=(1, 64))
+        g = rng.normal(size=(rows, 1))
+        with dc.Tape() as tape:
+            out = total(dc.affine(h, w, np.zeros(1)), g)
+        assert np.array_equal(tape.gradient(out, h), g @ w)
 
 
 class TestAffineSum:
@@ -300,17 +315,114 @@ class TestMapRows:
             out = total(dc.map_rows(lambda k: (dc.add(x, float(k)),), range(4))[0])
         assert np.array_equal(tape.gradient(out, x), np.full((3, 2), 4.0))
 
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    def test_finish_runs_on_the_caller_in_part_order(self, monkeypatch, taped):
+        # each part's fn runs on the pool and its finish on the calling
+        # thread, in part order, on the tape its fn recorded on
+        monkeypatch.setattr(dc, "POOL_WORKERS", 2)
+        x = dc.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        ran, finished = [], []
+
+        def fn(k):
+            ran.append(threading.get_ident())
+            return dc.add(x, float(k)), k
+
+        def finish(result):
+            y, k = result
+            finished.append((k, threading.get_ident()))
+            return (dc.sigmoid(y),)
+
+        with dc.Tape() if taped else contextlib.nullcontext() as tape:
+            (y,) = dc.map_rows(fn, range(5), finish)
+            out = total(y, np.cos(np.arange(30.0)))
+        me = threading.get_ident()
+        assert len(ran) == 5 and me not in ran
+        assert finished == [(k, me) for k in range(5)]
+        expect = 1.0 / (1.0 + np.exp(-(np.tile(x.data, (5, 1)) + np.arange(5.0).repeat(3)[:, None])))
+        assert np.allclose(y.data, expect, rtol=1e-15, atol=0.0)
+        if taped:
+            s = expect * (1.0 - expect) * np.cos(np.arange(30.0)).reshape(15, 2)
+            assert np.allclose(tape.gradient(out, x), s.reshape(5, 3, 2).sum(axis=0), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("where", ["fn", "finish"])
+    def test_error_in_part_forward_surfaces_and_pool_recovers(self, monkeypatch, where):
+        # part 3 is still running when part 2 fails, on the pool or in its
+        # finish on the calling thread; the error reaches the caller only
+        # once no part is running, and the pool and the tape stay usable
+        monkeypatch.setattr(dc, "POOL_WORKERS", 2)
+        x = dc.Tensor(np.arange(1.0, 7.0).reshape(3, 2), requires_grad=True)
+        lock, running, third = threading.Lock(), [0], threading.Event()
+
+        def fn(k):
+            with lock:
+                running[0] += 1
+            try:
+                if k == 3:
+                    third.set()
+                    time.sleep(0.05)
+                if k == 2 and where == "fn":
+                    third.wait(timeout=5.0)
+                    raise FloatingPointError("part forward failed")
+                return (dc.add(x, float(k)),)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        def finish(result):
+            if where == "finish" and result[0].data[0, 0] == 3.0:
+                third.wait(timeout=5.0)
+                raise FloatingPointError("part forward failed")
+            return result
+
+        with dc.Tape() as tape:
+            with pytest.raises(FloatingPointError, match="part forward failed"):
+                dc.map_rows(fn, range(6), finish)
+            assert third.is_set() and running == [0]
+            assert dc._active_tape() is tape
+            out = total(dc.map_rows(lambda k: (dc.add(x, float(k)),), range(4))[0])
+        assert np.array_equal(tape.gradient(out, x), np.full((3, 2), 4.0))
+
+    def test_nested_map_rows_runs_inline_in_a_pooled_part(self, monkeypatch):
+        # the inner parts of each outer part run on the outer part's pool
+        # thread, one after another
+        monkeypatch.setattr(dc, "POOL_WORKERS", 2)
+        x = dc.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        threads = {}
+
+        def inner(pair):
+            k, j = pair
+            threads.setdefault(k, []).append((j, threading.get_ident()))
+            return (dc.add(x, float(10 * k + j)),)
+
+        def outer(k):
+            threads.setdefault(k, []).append((None, threading.get_ident()))
+            return dc.map_rows(inner, [(k, j) for j in range(3)])
+
+        with dc.Tape() as tape:
+            (y,) = dc.map_rows(outer, range(3))
+            out = total(y)
+        offsets = np.array([10 * k + j for k in range(3) for j in range(3)], dtype=float).repeat(3)
+        assert np.array_equal(y.data, np.tile(x.data, (9, 1)) + offsets[:, None])
+        assert np.array_equal(tape.gradient(out, x), np.full((3, 2), 9.0))
+        for k, seen in threads.items():
+            (_, mine), *inner_parts = seen
+            assert mine != threading.get_ident()
+            assert inner_parts == [(j, mine) for j in range(3)]
+
     @pytest.mark.parametrize("returned", [False, True], ids=["read", "returned"])
     def test_part_reading_another_parts_output_raises(self, returned):
         # the outer tape would drop the gradient that reaches the first
-        # part's output through the second part
+        # part's output through the second part.  The parts may run at once
+        # on the pool, so the second waits for the first part's output
         x = dc.Tensor(np.ones((2, 3)), requires_grad=True)
-        first = []
+        first, made = [], threading.Event()
 
         def part(k):
             if not k:
                 first.append(dc.add(x, 1.0))
+                made.set()
                 return (first[0],)
+            made.wait()
             return (first[0],) if returned else (dc.add(first[0], x),)
 
         with dc.Tape():
@@ -323,11 +435,11 @@ class TestMapRows:
         # produced by one of its ops, so it is an input of the joining op
         monkeypatch.setattr(dc, "POOL_WORKERS", workers)
         x = dc.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        leaves = []
+        leaves = [None] * 3
 
         def part(k):
-            leaves.append(dc.Tensor(np.full((1, 3), k + 1.0), requires_grad=True))
-            return (dc.add(x, leaves[-1]), leaves[-1]) if k else (x, leaves[-1])
+            leaves[k] = dc.Tensor(np.full((1, 3), k + 1.0), requires_grad=True)
+            return (dc.add(x, leaves[k]), leaves[k]) if k else (x, leaves[k])
 
         with dc.Tape() as tape:
             y, z = dc.map_rows(part, range(3))
@@ -487,10 +599,80 @@ class TestMlpLn:
             err = finite_difference_check(f, arrays[i])
             assert err < 1e-6, f"input {i}: rel err {err}"
 
+    @staticmethod
+    def _segment_case(seed):
+        """A node-update block: the rows of a ``[q, E, h]`` edge block summed
+        into the N nodes they enter, then a ``[q, N, h]`` node term."""
+        rng = np.random.default_rng(seed)
+        arrays = [
+            rng.normal(size=(3, 7, 5)),
+            rng.normal(size=(3, 4, 5)),
+            rng.normal(size=(6, 10)),
+            rng.normal(size=6),
+            rng.normal(size=(4, 6)),
+            rng.normal(size=4),
+            rng.uniform(0.5, 1.5, 4),
+            rng.normal(size=4),
+        ]
+        # node 3 receives no edge
+        receivers = np.array([0, 2, 1, 0, 2, 2, 1])
+
+        def summed(edges, nodes, *params):
+            return dc.mlp_ln([(edges, receivers, 4), (nodes, None)], *params)
+
+        def chain(edges, nodes, *params):
+            return dc.mlp_ln([(dc.segment_sum(edges, receivers, 4), None), (nodes, None)], *params)
+
+        return arrays, summed, chain
+
+    def test_segment_term_bitwise_equals_segment_sum(self):
+        arrays, summed, chain = self._segment_case(27)
+        weights = np.cos(np.arange(3 * 4 * 4.0))
+        grads = []
+        for op in (summed, chain):
+            tensors = [dc.Tensor(a, requires_grad=True) for a in arrays]
+            with dc.Tape() as tape:
+                y = op(*tensors)
+                out = total(y, weights)
+            grads.append((y.data, *tape.gradient(out, tensors)))
+        assert grads[0][0].shape == (3, 4, 4)
+        for a, b in zip(*grads):
+            assert np.array_equal(a, b)
+
+    def test_segment_term_gradients_match_fd(self):
+        # the summed edge block's, the node block's and the first weights'
+        arrays, summed, _ = self._segment_case(28)
+        weights = np.cos(np.arange(3 * 4 * 4.0))
+        for i in (0, 1, 2):
+
+            def f(t, i=i):
+                args = [dc.Tensor(a) for a in arrays]
+                args[i] = t
+                return total(summed(*args), weights)
+
+            err = finite_difference_check(f, arrays[i])
+            assert err < 1e-6, f"input {i}: rel err {err}"
+
+    def test_segment_term_shape_mismatch(self):
+        arrays, _, _ = self._segment_case(29)
+        edges, nodes, *params = [dc.Tensor(a) for a in arrays]
+        bad = [
+            [(edges, [0, 1, 2], 4), (nodes, None)],
+            [(edges, [0, 1, 2, 0, 1, 2, 4], 4), (nodes, None)],
+            [(edges, [0, 1, 2, 0, 1, 2, 0.0], 4), (nodes, None)],
+            [(dc.Tensor(np.ones(5)), [0], 4), (nodes, None)],
+            [(edges, [0] * 7, 4), (nodes, None), (nodes, None)],
+        ]
+        for terms in bad:
+            with pytest.raises(dc.ShapeMismatchError):
+                dc.mlp_ln(terms, *params)
+
     @pytest.mark.parametrize("trained", [False, True], ids=["fixed", "trained"])
     def test_tape_keeps_relu_output_only_for_second_weights(self, trained):
-        # fixed parameters: a boolean ReLU mask; parameters with gradients:
-        # the ReLU output, from which the mask is read, and no mask
+        # fixed parameters: the ReLU mask packed into one uint8 of
+        # ceil(6 / 8) bytes per row of the 6 hidden units, and no boolean
+        # mask; parameters with gradients: the ReLU output, from which the
+        # mask is read, and no mask
         arrays, fused, _ = mlp_ln_case(24)
         tensors = [dc.Tensor(a, requires_grad=i < 2 or trained) for i, a in enumerate(arrays)]
         with dc.Tape() as tape:
@@ -498,8 +680,9 @@ class TestMlpLn:
         (_, _, run), = tape._ops
         kept = [c.cell_contents for c in run.__closure__ if isinstance(c.cell_contents, np.ndarray)]
         masks = [a for a in kept if a.dtype == bool]
+        packed = [a for a in kept if a.dtype == np.uint8 and a.shape == (3, 7, 1)]
         relu_out = [a for a in kept if a.dtype == np.float64 and a.shape == (3, 7, 6)]
-        assert (len(masks), len(relu_out)) == ((0, 1) if trained else (1, 0))
+        assert (len(masks), len(packed), len(relu_out)) == ((0, 0, 1) if trained else (0, 1, 0))
 
     def test_shape_mismatch(self):
         arrays, _, _ = mlp_ln_case(25)

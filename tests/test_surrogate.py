@@ -1,5 +1,7 @@
 import contextlib
 import hashlib
+import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -268,8 +270,9 @@ def chorded_ring():
 
 def force_chunks(monkeypatch, g, model, queries):
     """Shrinks the latent blocks so forward walks chunks of at most
-    ``queries`` queries, one such block per pullback worker, and returns
-    the list the row count of every chunk body call is appended to."""
+    ``queries`` queries, one such block per pool worker, and returns the
+    list the row count of every chunk body call is appended to, in the
+    order the pool starts them."""
     block = queries * g.edge_count * model.config.hidden * 8
     monkeypatch.setattr(sg, "QUERY_BLOCK_BYTES", block * dc.POOL_WORKERS)
     rows, body = [], sg._forward_chunk
@@ -292,13 +295,13 @@ def one_chunk():
 
 
 @contextlib.contextmanager
-def two_workers():
-    """A pool of exactly two pullback threads, whatever the host's CPU
-    count, started before the block and shut down after it."""
-    pool = ThreadPoolExecutor(2, initializer=dc._mark_pool_thread)
+def pool_of(workers):
+    """A pool of exactly ``workers`` threads, whatever the host's CPU count,
+    started before the block and shut down after it."""
+    pool = ThreadPoolExecutor(workers, initializer=dc._mark_pool_thread)
     try:
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(dc, "POOL_WORKERS", 2)
+            m.setattr(dc, "POOL_WORKERS", workers)
             m.setattr(dc, "_pool", pool)
             yield
     finally:
@@ -403,7 +406,7 @@ class TestPredictAllPairs:
         chunk = 8
         bound = 8 * chunk * g.edge_count * config.hidden * 8
 
-        with two_workers():
+        with pool_of(2):
             rows = force_chunks(monkeypatch, g, model, chunk // 2)
             tracemalloc.start()
             try:
@@ -433,7 +436,7 @@ class TestPredictAllPairs:
         params = sum(a.nbytes for a in model.params.values())
         bound = 2 * params + 8 * chunk * g.edge_count * config.hidden * 8
 
-        with two_workers():
+        with pool_of(2):
             rows = force_chunks(monkeypatch, g, model, chunk)
             mt = model.tensors(requires_grad=True)
             tracemalloc.start()
@@ -497,7 +500,9 @@ class TestForwardChunks:
         pairs = ng.ordered_pairs(g.node_count)
         ind = sg.query_indicators(g, pairs[np.arange(queries) % len(pairs)])
         final, _ = sg.forward(g, np.ones(g.edge_count), ind, model)
-        assert rows == expected
+        # the pool may start the chunks in any order; the rows stack in
+        # chunk order, which test_chunks_equal_one_forward pins
+        assert sorted(rows, reverse=True) == expected
         assert final.shape == (queries, g.edge_count)
 
     def test_per_step_parameter_gradients_equal_one_chunk(self, monkeypatch):
@@ -509,7 +514,7 @@ class TestForwardChunks:
         w, ind, labels = training_batch(g, np.random.default_rng(3))
         with one_chunk():
             one_steps, one_loss, one_grads = training_gradient(g, w, ind, labels, model)
-        with two_workers():
+        with pool_of(2):
             rows = force_chunks(monkeypatch, g, model, 3)
             steps, loss, grads = training_gradient(g, w, ind, labels, model)
         assert len(rows) == 12
@@ -518,6 +523,59 @@ class TestForwardChunks:
         assert loss == one_loss
         for name, a, b in zip(model.params, grads, one_grads):
             assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b)), name
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_pooled_forward_bitwise_equals_inline(self, workers):
+        # chunks of 8 queries: 12 chunks of the 90 pairs and 4 of a
+        # 32-query batch, for 1, 2 and 4 workers alike.  4 workers
+        # outnumber the cores of a 2-CPU host, and a short switch interval
+        # interleaves the chunks as finely as it can.  The message passing
+        # runs on the pool and the decoder on the calling thread.
+        g = chorded_ring()
+        model = offset_model(sg.GnnConfig(hidden=8, rounds=3), seed=4)
+        d = np.random.default_rng(5).uniform(0.0, 1.0, g.pair_count)
+        batch = training_batch(g, np.random.default_rng(6))
+        block = 8 * g.edge_count * model.config.hidden * 8
+
+        def run(threads):
+            body, sigmoid = sg._forward_chunk, dc.sigmoid
+
+            def chunk(*args):
+                threads.append(("chunk", threading.get_ident()))
+                return body(*args)
+
+            def decode(x):
+                threads.append(("decode", threading.get_ident()))
+                return sigmoid(x)
+
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(sg, "QUERY_BLOCK_BYTES", block * dc.POOL_WORKERS)
+                m.setattr(sg, "_forward_chunk", chunk)
+                m.setattr(dc, "sigmoid", decode)
+                wt = dc.Tensor(batch[0], requires_grad=True)
+                with dc.Tape() as tape:
+                    P = sg.predict_all_pairs(model, g, wt)
+                    grad = tape.gradient(soft_mlu(g, d, P), wt)
+                return [P.data, grad, *training_gradient(g, *batch, model)[::2]]
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dc, "POOL_WORKERS", 1)
+            inline = run([])
+        threads = []
+        interval = sys.getswitchinterval()
+        with pool_of(workers):
+            sys.setswitchinterval(1e-6)
+            try:
+                pooled = run(threads)
+            finally:
+                sys.setswitchinterval(interval)
+        me = threading.get_ident()
+        chunks = [t for what, t in threads if what == "chunk"]
+        assert len(chunks) == 12 + 4 and me not in chunks
+        assert [t for what, t in threads if what == "decode"] == [me] * (12 + 4 * 3)
+        assert np.array_equal(pooled[0], inline[0]) and np.array_equal(pooled[1], inline[1])
+        for a, b in zip(pooled[2] + pooled[3], inline[2] + inline[3], strict=True):
+            assert np.array_equal(a, b)
 
     def test_edge_encoder_runs_once_per_forward(self, monkeypatch):
         # it reads the weights alone, so every chunk shares its one block
