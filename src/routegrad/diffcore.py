@@ -9,7 +9,10 @@ overhead.
 Retention contract: a backward closure never holds an input ``Tensor``.
 When an op records itself the tape keeps its input uids, and the closure
 keeps only the shapes and flags its formula needs and the arrays the
-formula reads.  ReLU keeps a mask packed eight entries to a byte,
+formula reads.  An op that gathers or sums rows by an index array keeps
+the private int64 copy :func:`netgraph.node_indices` made of it, never
+the caller's array, so editing that array later cannot change a
+gradient.  ReLU keeps a mask packed eight entries to a byte,
 sigmoid its output, layer normalization the standardized values and the
 inverse deviations, a quotient or matrix product an operand only when
 the other side needs its gradient, binary cross-entropy the clamped
@@ -48,6 +51,8 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .netgraph import node_indices
 
 
 class DiffcoreError(ValueError):
@@ -763,15 +768,6 @@ def layer_normalize(x, gain, bias) -> Tensor:
 # row gather / segment reduction (graph plumbing)
 
 
-def _row_indices(idx, n_rows: int, op: str) -> np.ndarray:
-    """``idx`` as int64, rejecting a bool or float index and any entry
-    outside ``[0, n_rows)``: a cast would read 0.7 as row 0 and True as row 1."""
-    idx = np.asarray(idx)
-    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n_rows):
-        raise ShapeMismatchError(f"{op}: indices of dtype {idx.dtype} are not all integers in [0, {n_rows})")
-    return idx.astype(np.int64, copy=False)
-
-
 def _scatter_add(x: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
     """``out[..., i, :] = sum of x[..., j, :] over j with idx[j] == i``.
 
@@ -789,9 +785,12 @@ def _scatter_add(x: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
 
 
 def index_rows(x, idx) -> Tensor:
-    """Row gather along axis -2: ``out[..., j, :] = x[..., idx[j], :]``."""
+    """Row gather along axis -2: ``out[..., j, :] = x[..., idx[j], :]``.
+
+    ``idx`` passes :func:`netgraph.node_indices` against the rows of ``x``.
+    """
     x = as_tensor(x)
-    idx = _row_indices(idx, x.shape[-2], "index_rows")
+    idx = node_indices(idx, x.shape[-2], "index_rows: row indices")
     data = np.take(x.data, idx, axis=-2)
 
     def backward(out, want):
@@ -804,10 +803,11 @@ def index_rows(x, idx) -> Tensor:
 def segment_sum(x, idx, n_segments: int) -> Tensor:
     """Sums rows of ``x`` (axis -2) into ``n_segments`` buckets by ``idx``.
 
-    Buckets receiving no rows are zero vectors.
+    Buckets receiving no rows are zero vectors.  ``idx`` passes
+    :func:`netgraph.node_indices` against ``n_segments``.
     """
     x = as_tensor(x)
-    idx = _row_indices(idx, n_segments, "segment_sum")
+    idx = node_indices(idx, n_segments, "segment_sum: segment indices")
     if idx.shape != (x.shape[-2],):
         raise ShapeMismatchError(f"segment_sum: idx length {idx.shape} vs rows {x.shape[-2]}")
     data = _scatter_add(x.data, idx, n_segments)
@@ -836,8 +836,10 @@ def mlp_ln(terms, w1, b1, w2, b2, gain, bias) -> Tensor:
             as :func:`index_rows` does; with ``n_segments`` too, the rows
             of ``x`` are first summed into ``n_segments`` buckets as
             :func:`segment_sum` does, and a summed term is added with the
-            ones that have no ``idx``.  The terms may broadcast against
-            each other over leading axes.
+            ones that have no ``idx``.  Every ``idx`` passes
+            :func:`netgraph.node_indices` against the rows it gathers
+            or the buckets it sums into.  The terms may broadcast
+            against each other over leading axes.
         w1: ``[n_hidden, sum n_i]``; ``b1``: ``[n_hidden]``.
         w2: ``[n_out, n_hidden]``; ``b2``, ``gain``, ``bias``: ``[n_out]``.
 
@@ -855,14 +857,14 @@ def mlp_ln(terms, w1, b1, w2, b2, gain, bias) -> Tensor:
             raise ShapeMismatchError(f"mlp_ln: a gathered or summed term needs rows, got shape {x.shape}")
         if n_segments:
             (n,) = n_segments
-            idx = _row_indices(idx, n, "mlp_ln")
+            idx = node_indices(idx, n, "mlp_ln: segment indices")
             if idx.shape != (x.shape[-2],):
                 raise ShapeMismatchError(f"mlp_ln: segment index length {idx.shape} vs rows {x.shape[-2]}")
             segments.append(idx)
             kernel.append((_scatter_add(x.data, idx, n), None))
         else:
             segments.append(None)
-            kernel.append((x.data, None if idx is None else _row_indices(idx, x.shape[-2], "mlp_ln")))
+            kernel.append((x.data, None if idx is None else node_indices(idx, x.shape[-2], "mlp_ln: row indices")))
     _check_dense("mlp_ln", [x.shape[-1] for x, _ in kernel], w1, b1)
     _check_dense("mlp_ln", [w1.shape[0]], w2, b2)
     _check_norm_params("mlp_ln", w2.shape[0], gain, bias)

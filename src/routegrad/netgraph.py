@@ -7,7 +7,9 @@ Every array over source-destination pairs, demand vectors and
 routing-matrix rows alike, follows one fixed enumeration,
 :func:`ordered_pairs`.  Every node index that comes in, a link end, a
 source, a query endpoint or a path endpoint, passes one rule,
-:func:`node_indices`.
+:func:`node_indices`, and so does every row index ``diffcore`` gathers
+or sums by.  Every size, a node count, a latent width or a round count,
+passes another, :func:`positive_integer`.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ class Graph:
     otherwise routing is undefined).
 
     Attributes:
-        node_count: Number of nodes, indexed ``0 .. node_count-1``; a
-            Python or numpy integer, not a bool, at least 1.
+        node_count: Number of nodes, indexed ``0 .. node_count-1``; it
+            passes :func:`positive_integer` and is stored as an ``int``.
         receivers: int array of length ``edge_count``; head of each link.
         senders: int array of length ``edge_count``; tail of each link.
         capacities: float64 array of per-link capacities (Mbps).
@@ -83,10 +85,7 @@ class Graph:
     name: str = ""
 
     def __post_init__(self):
-        n = self.node_count
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise GraphError(f"node_count {n!r} is not an integer >= 1")
-        n = int(n)
+        n = positive_integer(self.node_count, "node_count")
         # private copies: the caller's arrays stay writeable, and writing
         # to them later cannot change a graph that has been validated
         receivers = node_indices(self.receivers, n, "receivers")
@@ -140,6 +139,18 @@ class Graph:
         return self.node_count * (self.node_count - 1)
 
 
+def positive_integer(value, what: str) -> int:
+    """The one rule for sizes: ``value`` as a Python ``int``.
+
+    ``value`` is a Python or numpy integer, at least 1.  A bool, a float
+    (an integral one too) or anything else raises :class:`GraphError`: a
+    float size would reach array shapes as a float.
+    """
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise GraphError(f"{what} must be an integer >= 1, not {value!r}")
+    return int(value)
+
+
 def node_indices(values, n: int, what: str) -> np.ndarray:
     """The one rule for node indices: ``values`` as a private int64 array.
 
@@ -149,6 +160,9 @@ def node_indices(values, n: int, what: str) -> np.ndarray:
     non-numeric entry, or an entry outside ``[0, n)`` (integers past int64
     among them) raises :class:`GraphError`: reading ``True`` as node 1 or
     truncating ``1.7`` to it would route another node without an error.
+    Besides link ends, sources and query or path endpoints, ``diffcore``'s
+    row indices pass this rule, ``n`` the rows gathered from or the
+    segments summed into; the copy returned is the one its ops keep.
     """
     raw = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
     if raw.dtype == object:
@@ -158,7 +172,7 @@ def node_indices(values, n: int, what: str) -> np.ndarray:
     else:
         integral = raw.dtype.kind in "iu"
     if not integral:
-        raise GraphError(f"{what} are not integer node indices")
+        raise GraphError(f"{what} are not integer indices")
     if raw.size and not (raw.min() >= 0 and raw.max() < n):
         raise GraphError(f"{what} have an entry outside [0, {n})")
     return np.array(raw, dtype=np.int64)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .netgraph import Graph, GraphError, node_indices, ordered_pairs, validate_weights
+from .netgraph import Graph, GraphError, node_indices, ordered_pairs, positive_integer, validate_weights
 
 CHECKPOINT_FORMAT = "routegrad-gnn"
 CHECKPOINT_VERSION = 2
@@ -65,8 +65,10 @@ class CheckpointError(ValueError):
 class GnnConfig:
     """Architecture hyperparameters.
 
-    ``share_processor=True`` reuses one block's parameters for all T
-    message-passing rounds (recurrent core) instead of T distinct blocks.
+    ``hidden`` and ``rounds`` pass :func:`netgraph.positive_integer` and
+    are stored as ``int``.  ``share_processor=True`` reuses one block's
+    parameters for all T message-passing rounds (recurrent core) instead
+    of T distinct blocks.
     """
 
     hidden: int = 128
@@ -74,12 +76,10 @@ class GnnConfig:
     share_processor: bool = False
 
     def __post_init__(self):
-        # a float width would give float shapes, and a checkpoint's string
-        # "false" would read as True through bool()
+        # stored as int, so that a checkpoint's JSON holds ints; a
+        # checkpoint's string "false" would read as True through bool()
         for name in ("hidden", "rounds"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise GraphError(f"{name} must be an integer >= 1, not {value!r}")
+            object.__setattr__(self, name, positive_integer(getattr(self, name), name))
         if not isinstance(self.share_processor, bool):
             raise GraphError(f"share_processor must be a bool, not {self.share_processor!r}")
 
@@ -322,12 +322,11 @@ def save_checkpoint(model: GnnModel, path) -> None:
     produces identical bytes.
 
     Raises:
-        CheckpointError: a parameter holds a NaN or an infinity, which
-            JSON cannot represent; ``path`` is then not opened.
+        CheckpointError: the document is one :func:`load_checkpoint`
+            rejects (a missing, extra or misshapen parameter, or a NaN or
+            an infinity, which JSON cannot represent); ``path`` is then
+            not opened.
     """
-    for name, arr in model.params.items():
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"{name}: non-finite values")
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -341,6 +340,7 @@ def save_checkpoint(model: GnnModel, path) -> None:
             for name, arr in model.params.items()
         },
     }
+    _model_from_document(doc)
     with open(path, "w", encoding="ascii") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"), allow_nan=False)
         fh.write("\n")
@@ -358,43 +358,50 @@ def load_checkpoint(path) -> GnnModel:
             doc = json.load(fh)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"not an ASCII JSON document: {exc}") from exc
+    return _model_from_document(doc)
+
+
+def _model_from_document(doc) -> GnnModel:
+    """The model a checkpoint document describes; the one check of a
+    document, for :func:`save_checkpoint` and :func:`load_checkpoint`.
+
+    Raises:
+        CheckpointError: for any document that is not a well-formed
+            checkpoint of this implementation.
+    """
     try:
-        return _model_from_document(doc)
+        if not isinstance(doc, dict):
+            raise CheckpointError(f"top level is a {type(doc).__name__}, not an object")
+        if doc.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointError(f"unknown checkpoint format {doc.get('format')!r}")
+        if doc.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {doc.get('version')!r}")
+        if doc.get("node_feature_width") != NODE_FEATURES or doc.get("edge_feature_width") != EDGE_FEATURES:
+            raise CheckpointError("feature widths do not match this implementation")
+        config = GnnConfig(hidden=doc["hidden"], rounds=doc["rounds"], share_processor=doc["share_processor"])
+        expected = config.parameter_shapes()
+        stored = doc.get("params")
+        if not isinstance(stored, dict):
+            raise CheckpointError("missing params table")
+        if set(stored) != set(expected):
+            missing = set(expected) - set(stored)
+            extra = set(stored) - set(expected)
+            raise CheckpointError(f"parameter names mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        params = {}
+        for name, entry in stored.items():
+            shape = tuple(entry["shape"])
+            if shape != expected[name]:
+                raise CheckpointError(f"{name}: stored shape {shape} != expected {expected[name]}")
+            data = entry["data"]
+            # a cast would read "0.5" as 0.5, true as 1.0 and [[0.5]] as a row
+            if not isinstance(data, list) or not all(type(x) in (int, float) for x in data):
+                raise CheckpointError(f"{name}: data is not a flat list of numbers")
+            arr = np.array(data, dtype=np.float64).reshape(shape)
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"{name}: non-finite values")
+            params[name] = arr
+        return GnnModel(config, params)
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
-
-
-def _model_from_document(doc) -> GnnModel:
-    if not isinstance(doc, dict):
-        raise CheckpointError(f"top level is a {type(doc).__name__}, not an object")
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"unknown checkpoint format {doc.get('format')!r}")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {doc.get('version')!r}")
-    if doc.get("node_feature_width") != NODE_FEATURES or doc.get("edge_feature_width") != EDGE_FEATURES:
-        raise CheckpointError("feature widths do not match this implementation")
-    config = GnnConfig(hidden=doc["hidden"], rounds=doc["rounds"], share_processor=doc["share_processor"])
-    expected = config.parameter_shapes()
-    stored = doc.get("params")
-    if not isinstance(stored, dict):
-        raise CheckpointError("missing params table")
-    if set(stored) != set(expected):
-        missing = set(expected) - set(stored)
-        extra = set(stored) - set(expected)
-        raise CheckpointError(f"parameter names mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-    params = {}
-    for name, entry in stored.items():
-        shape = tuple(entry["shape"])
-        if shape != expected[name]:
-            raise CheckpointError(f"{name}: stored shape {shape} != expected {expected[name]}")
-        data = entry["data"]
-        # a cast would read "0.5" as 0.5, true as 1.0 and [[0.5]] as a row
-        if not isinstance(data, list) or not all(type(x) in (int, float) for x in data):
-            raise CheckpointError(f"{name}: data is not a flat list of numbers")
-        arr = np.array(data, dtype=np.float64).reshape(shape)
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"{name}: non-finite values")
-        params[name] = arr
-    return GnnModel(config, params)

@@ -19,7 +19,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import spans  # noqa: E402
 import workloads  # noqa: E402
-from routegrad import diffcore, surrogate  # noqa: E402
+from routegrad import surrogate  # noqa: E402
 
 
 def _names_read(node, strings=False) -> set:
@@ -99,26 +99,29 @@ def test_traced_train_step_runs_and_restores_originals():
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
 
 
-def test_traced_descent_step_runs():
+def test_traced_descent_step_runs(monkeypatch):
     # the tracer keeps one stack of open spans, so every traced call must
     # run on the calling thread.  The chunks' message passing runs on the
     # pool, and so do their pullbacks, but neither calls a traced op; the
-    # decoder runs once per chunk on the calling thread, so its one
-    # sigmoid per chunk counts the chunks.
+    # decoder runs once per chunk on the calling thread, one sigmoid each.
     work = workloads.DescentN24(1)
+    chunks = []
+    forward_chunk = surrogate._forward_chunk
+
+    def counted(*args):
+        chunks.append(None)
+        return forward_chunk(*args)
+
+    monkeypatch.setattr(surrogate, "_forward_chunk", counted)
     tracer, threads = thread_recording_tracer()
     with spans.installed(tracer):
         assert work.step() == work.g.pair_count
     assert threads == {threading.get_ident()}
     assert tracer._open == [] and all(span[2] > 0.0 for span in tracer.spans)
     totals = tracer.totals()
-    workers = diffcore.POOL_WORKERS
-    block = work.g.edge_count * work.model.config.hidden * 8
-    chunks = -(-work.g.pair_count // (surrogate.QUERY_BLOCK_BYTES // workers // block))
-    chunks = min(work.g.pair_count, -(-chunks // workers) * workers)
     assert totals["diffcore.tape_gradient"][0] == 1
     assert totals["surrogate.forward"][0] == 1
-    assert totals["diffcore.sigmoid"][0] == chunks
+    assert len(chunks) >= 2 and totals["diffcore.sigmoid"][0] == len(chunks)
 
 
 def test_traced_search_step_evaluates_once():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from routegrad import diffcore as dc
+from routegrad.netgraph import GraphError
 
 from oracles import (
     binary_cross_entropy_chain,
@@ -658,13 +659,19 @@ class TestMlpLn:
         edges, nodes, *params = [dc.Tensor(a) for a in arrays]
         bad = [
             [(edges, [0, 1, 2], 4), (nodes, None)],
-            [(edges, [0, 1, 2, 0, 1, 2, 4], 4), (nodes, None)],
-            [(edges, [0, 1, 2, 0, 1, 2, 0.0], 4), (nodes, None)],
             [(dc.Tensor(np.ones(5)), [0], 4), (nodes, None)],
             [(edges, [0] * 7, 4), (nodes, None), (nodes, None)],
         ]
         for terms in bad:
             with pytest.raises(dc.ShapeMismatchError):
+                dc.mlp_ln(terms, *params)
+        # a bad index value fails netgraph.node_indices
+        bad_values = [
+            [(edges, [0, 1, 2, 0, 1, 2, 4], 4), (nodes, None)],
+            [(edges, [0, 1, 2, 0, 1, 2, 0.0], 4), (nodes, None)],
+        ]
+        for terms in bad_values:
+            with pytest.raises(GraphError):
                 dc.mlp_ln(terms, *params)
 
     @pytest.mark.parametrize("trained", [False, True], ids=["fixed", "trained"])
@@ -690,15 +697,21 @@ class TestMlpLn:
         bad = [
             ([], w1, b1, w2, b2, gain, bias),
             ([(edges, None), (nodes, [0])], w1, b1, w2, b2, gain, bias),
-            ([(edges, None), (nodes, [0]), (nodes, [4])], w1, b1, w2, b2, gain, bias),
             ([(edges, None), (nodes, [0]), (nodes, [1])], w1, b2, w2, b2, gain, bias),
             ([(edges, None), (nodes, [0]), (nodes, [1])], w1, b1, w2.data.T, b2, gain, bias),
             ([(edges, None), (nodes, [0]), (nodes, [1])], w1, b1, w2, b2, b1, bias),
-            ([(edges, None), (nodes, [0.0]), (nodes, [1])], w1, b1, w2, b2, gain, bias),
-            ([(edges, None), (nodes, [0]), (nodes, [True])], w1, b1, w2, b2, gain, bias),
         ]
         for args in bad:
             with pytest.raises(dc.ShapeMismatchError):
+                dc.mlp_ln(*args)
+        # a bad index value fails netgraph.node_indices
+        bad_values = [
+            ([(edges, None), (nodes, [0]), (nodes, [4])], w1, b1, w2, b2, gain, bias),
+            ([(edges, None), (nodes, [0.0]), (nodes, [1])], w1, b1, w2, b2, gain, bias),
+            ([(edges, None), (nodes, [0]), (nodes, [True])], w1, b1, w2, b2, gain, bias),
+        ]
+        for args in bad_values:
+            with pytest.raises(GraphError):
                 dc.mlp_ln(*args)
 
 
@@ -841,9 +854,9 @@ class TestGatherAndSegments:
         for j, i in enumerate(idx):
             assert np.array_equal(y.data[:, j, :], x[:, i, :])
         # a negative index must not wrap around, and a float or bool one
-        # must not be cast to row 0, 1 or 2
+        # must not be cast to row 0, 1 or 2: each fails netgraph.node_indices
         for bad in ([-1, 0], [0, 5], [0.7, 2.2], [True, False], np.array([1.0])):
-            with pytest.raises(dc.ShapeMismatchError):
+            with pytest.raises(GraphError):
                 dc.index_rows(dc.Tensor(x), bad)
 
     def test_segment_sum_matches_loop(self):
@@ -857,10 +870,13 @@ class TestGatherAndSegments:
         assert np.allclose(y.data, expect, atol=1e-15)
         # -1 must not land in bucket 4, nor 1.5 in bucket 1
         for bad in ([1, 1, 0, 4, 4, 4, -1], [1, 1, 0, 5, 4, 4, 0], [1.5, 1, 0, 4, 4, 4, 0], [True] * 7):
-            with pytest.raises(dc.ShapeMismatchError):
+            with pytest.raises(GraphError):
                 dc.segment_sum(dc.Tensor(x), np.array(bad), 5)
-        with pytest.raises(dc.ShapeMismatchError):
+        with pytest.raises(GraphError):
             dc.segment_sum(dc.Tensor(x[:, :3]), [0.5, 1.5, 1.2], 2)
+        # an index of the wrong length is a shape error
+        with pytest.raises(dc.ShapeMismatchError):
+            dc.segment_sum(dc.Tensor(x), idx[:6], 5)
 
     def test_empty_segment_is_zero(self):
         x = np.ones((4, 2))
@@ -895,6 +911,52 @@ class TestGatherAndSegments:
         assert_grads_match(
             lambda x: total(dc.sigmoid(dc.index_rows(x, idx))), arrays
         )
+
+
+_MLP_PARAMS = [np.random.default_rng(40).normal(size=s) for s in [(5, 3), (5,), (3, 5), (3,), (3,), (3,)]]
+# every op that takes an index array, as a function of its input and the
+# index, and whether the index sums the rows into four buckets (one index
+# per row) or gathers from four rows
+INDEXED_OPS = {
+    "index_rows": (dc.index_rows, False),
+    "segment_sum": (lambda x, idx: dc.segment_sum(x, idx, 4), True),
+    "mlp_ln_gathered": (lambda x, idx: dc.mlp_ln([(x, idx)], *_MLP_PARAMS), False),
+    "mlp_ln_summed": (lambda x, idx: dc.mlp_ln([(x, idx, 4)], *_MLP_PARAMS), True),
+}
+
+
+def _indexed_input(summed: bool, idx) -> np.ndarray:
+    return np.random.default_rng(41).normal(size=(2, len(idx) if summed else 4, 3))
+
+
+@pytest.mark.parametrize("op", INDEXED_OPS)
+@pytest.mark.parametrize("bad", [[0, True], [np.True_, 2]], ids=["bool", "np_bool"])
+def test_bool_among_integer_indices_rejected(op, bad):
+    # numpy reads both lists as int64, with the bool as row 1
+    fn, summed = INDEXED_OPS[op]
+    x = dc.Tensor(_indexed_input(summed, bad))
+    with pytest.raises(GraphError):
+        fn(x, bad)
+    fn(x, [int(i) for i in bad])
+
+
+@pytest.mark.parametrize("op", INDEXED_OPS)
+def test_editing_the_index_after_the_forward_changes_nothing(op):
+    # the op keeps its own copy of the index, so the caller's array may be
+    # reused between the forward and the gradient
+    fn, summed = INDEXED_OPS[op]
+    results = []
+    for edit in (False, True):
+        idx = np.array([2, 0, 1, 0])
+        x = dc.Tensor(_indexed_input(summed, idx), requires_grad=True)
+        with dc.Tape() as tape:
+            y = fn(x, idx)
+            out = total(y, np.cos(np.arange(y.size)))
+        if edit:
+            idx[:] = 3
+        results.append((y.data.copy(), tape.gradient(out, x)))
+    for a, b in zip(*results):
+        assert np.array_equal(a, b)
 
 
 class TestTapeMechanics:

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from routegrad import diffcore as dc
 from routegrad import exact_routing as xr
 from routegrad import netgraph as ng
 from routegrad import surrogate as sg
@@ -141,7 +142,8 @@ class TestBuildGraph:
 
 # Every entry point that takes a node index applies the one rule of
 # ``netgraph.node_indices``; each call below gives ``x`` where node 1 of
-# ``triangle_directed`` belongs.
+# ``triangle_directed`` belongs, or, for diffcore's row indices, where row
+# or bucket 1 of three belongs.
 def _graph_end(x):
     ng.Graph(3, [x, 2, 2, 0, 1, 0], [0, 1, 0, 1, 2, 2], np.ones(6))
 
@@ -162,7 +164,29 @@ def _path_end(x):
     ng.validate_path_vector(triangle_directed(), np.eye(6)[0], 0, x)
 
 
-NODE_ENTRY_POINTS = [_graph_end, _build_graph_end, _source, _query, _path_end]
+def _gathered_row(x):
+    dc.index_rows(dc.Tensor(np.ones((3, 2))), [0, x, 2])
+
+
+def _summed_row(x):
+    dc.segment_sum(dc.Tensor(np.ones((3, 2))), [0, x, 2], 3)
+
+
+_MLP_PARAMS = [np.ones(s) for s in [(4, 2), (4,), (2, 4), (2,), (2,), (2,)]]
+
+
+def _mlp_gathered_row(x):
+    dc.mlp_ln([(dc.Tensor(np.ones((3, 2))), [0, x, 2])], *_MLP_PARAMS)
+
+
+def _mlp_summed_row(x):
+    dc.mlp_ln([(dc.Tensor(np.ones((3, 2))), [0, x, 2], 3)], *_MLP_PARAMS)
+
+
+NODE_ENTRY_POINTS = [
+    _graph_end, _build_graph_end, _source, _query, _path_end,
+    _gathered_row, _summed_row, _mlp_gathered_row, _mlp_summed_row,
+]
 
 
 @pytest.mark.parametrize("entry", NODE_ENTRY_POINTS, ids=lambda f: f.__name__.strip("_"))
@@ -202,6 +226,33 @@ def test_node_indices_returns_a_private_int64_copy():
     for empty in ([], np.zeros(0, dtype=object)):
         out = ng.node_indices(empty, 3, "nodes")
         assert out.dtype == np.int64 and out.shape == (0,)
+
+
+# Every size applies the one rule of ``netgraph.positive_integer``; each
+# call below gives ``x`` as one size and returns the size stored.
+SIZE_ENTRY_POINTS = {
+    "node_count": lambda x: ng.Graph(x, [], [], []).node_count,
+    "hidden": lambda x: sg.GnnConfig(hidden=x).hidden,
+    "rounds": lambda x: sg.GnnConfig(rounds=x).rounds,
+}
+
+
+@pytest.mark.parametrize("entry", SIZE_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "x",
+    [0, -2, True, np.True_, 1.0, np.float64(1.0), "1", None],
+    ids=["zero", "negative", "bool", "np_bool", "float", "np_float64", "string", "none"],
+)
+def test_every_size_rejects_the_same_values(entry, x):
+    with pytest.raises(ng.GraphError, match=f"{entry} must be an integer >= 1"):
+        SIZE_ENTRY_POINTS[entry](x)
+
+
+@pytest.mark.parametrize("entry", SIZE_ENTRY_POINTS)
+@pytest.mark.parametrize("x", [1, np.int64(1), np.uint8(1)], ids=["int", "np_int64", "np_uint8"])
+def test_every_size_stores_an_int(entry, x):
+    out = SIZE_ENTRY_POINTS[entry](x)
+    assert out == 1 and type(out) is int
 
 
 class TestPairEnumeration:

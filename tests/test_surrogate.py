@@ -702,6 +702,29 @@ class TestCheckpoint:
             sg.save_checkpoint(sg.GnnModel(small_model.config, params), path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("fault", ["missing", "extra", "shape"])
+    def test_inconsistent_parameters_not_saved(self, small_model, tmp_path, fault):
+        # load_checkpoint would reject the file, so none is written
+        params = {k: v.copy() for k, v in small_model.params.items()}
+        if fault == "missing":
+            del params["dec_l1_w"]
+        elif fault == "extra":
+            params["proc9_edge_l1_w"] = np.zeros((8, 24))
+        else:
+            params["dec_l2_w"] = np.zeros((2, 8))
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(sg.CheckpointError):
+            sg.save_checkpoint(sg.GnnModel(small_model.config, params), path)
+        assert not path.exists()
+
+    def test_numpy_integer_sizes_round_trip(self, tmp_path):
+        # sizes are stored as int, so the document holds JSON integers
+        config = sg.GnnConfig(hidden=np.int64(3), rounds=np.uint8(2))
+        assert type(config.hidden) is int and type(config.rounds) is int
+        path = tmp_path / "m.ckpt"
+        sg.save_checkpoint(sg.GnnModel.initialize(config, seed=3), path)
+        assert sg.load_checkpoint(path).config == sg.GnnConfig(hidden=3, rounds=2)
+
     @pytest.mark.parametrize(
         "kwargs",
         [{"hidden": 2.5}, {"rounds": True}, {"rounds": "2"}, {"share_processor": "false"}],
