@@ -787,10 +787,15 @@ def _scatter_add(x: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
 def index_rows(x, idx) -> Tensor:
     """Row gather along axis -2: ``out[..., j, :] = x[..., idx[j], :]``.
 
-    ``idx`` passes :func:`netgraph.node_indices` against the rows of ``x``.
+    ``x`` has at least two axes, and ``idx`` is one axis of indices that
+    pass :func:`netgraph.node_indices` against the rows of ``x``.
     """
     x = as_tensor(x)
+    if x.ndim < 2:
+        raise ShapeMismatchError(f"index_rows: the input needs rows, got shape {x.shape}")
     idx = node_indices(idx, x.shape[-2], "index_rows: row indices")
+    if idx.ndim != 1:
+        raise ShapeMismatchError(f"index_rows: row indices of shape {idx.shape}, expected one axis")
     data = np.take(x.data, idx, axis=-2)
 
     def backward(out, want):
@@ -803,10 +808,13 @@ def index_rows(x, idx) -> Tensor:
 def segment_sum(x, idx, n_segments: int) -> Tensor:
     """Sums rows of ``x`` (axis -2) into ``n_segments`` buckets by ``idx``.
 
-    Buckets receiving no rows are zero vectors.  ``idx`` passes
+    Buckets receiving no rows are zero vectors.  ``x`` has at least two
+    axes, and ``idx`` holds one index per row of it that passes
     :func:`netgraph.node_indices` against ``n_segments``.
     """
     x = as_tensor(x)
+    if x.ndim < 2:
+        raise ShapeMismatchError(f"segment_sum: the input needs rows, got shape {x.shape}")
     idx = node_indices(idx, n_segments, "segment_sum: segment indices")
     if idx.shape != (x.shape[-2],):
         raise ShapeMismatchError(f"segment_sum: idx length {idx.shape} vs rows {x.shape[-2]}")
@@ -836,9 +844,10 @@ def mlp_ln(terms, w1, b1, w2, b2, gain, bias) -> Tensor:
             as :func:`index_rows` does; with ``n_segments`` too, the rows
             of ``x`` are first summed into ``n_segments`` buckets as
             :func:`segment_sum` does, and a summed term is added with the
-            ones that have no ``idx``.  Every ``idx`` passes
-            :func:`netgraph.node_indices` against the rows it gathers
-            or the buckets it sums into.  The terms may broadcast
+            ones that have no ``idx``.  Every ``idx`` is one axis of
+            indices that pass :func:`netgraph.node_indices` against the
+            rows it gathers or the buckets it sums into, and the ``x`` of
+            such a term has rows.  The terms may broadcast
             against each other over leading axes.
         w1: ``[n_hidden, sum n_i]``; ``b1``: ``[n_hidden]``.
         w2: ``[n_out, n_hidden]``; ``b2``, ``gain``, ``bias``: ``[n_out]``.
@@ -863,8 +872,12 @@ def mlp_ln(terms, w1, b1, w2, b2, gain, bias) -> Tensor:
             segments.append(idx)
             kernel.append((_scatter_add(x.data, idx, n), None))
         else:
+            if idx is not None:
+                idx = node_indices(idx, x.shape[-2], "mlp_ln: row indices")
+                if idx.ndim != 1:
+                    raise ShapeMismatchError(f"mlp_ln: row indices of shape {idx.shape}, expected one axis")
             segments.append(None)
-            kernel.append((x.data, None if idx is None else node_indices(idx, x.shape[-2], "mlp_ln: row indices")))
+            kernel.append((x.data, idx))
     _check_dense("mlp_ln", [x.shape[-1] for x, _ in kernel], w1, b1)
     _check_dense("mlp_ln", [w1.shape[0]], w2, b2)
     _check_norm_params("mlp_ln", w2.shape[0], gain, bias)

@@ -7,12 +7,14 @@ evaluation, for training, grading and descent alike;
 :func:`predict_all_pairs` runs it over every ordered node pair, which
 yields a soft routing matrix that is differentiable with respect to the
 link weights, the matrix the weight optimizer descends through.
-:func:`forward` walks its queries in chunks sized so that the latent
-blocks in flight stay cache-resident (:data:`QUERY_BLOCK_BYTES`).  It
-runs the chunks' message passing on :data:`diffcore.POOL_WORKERS`
-threads at once and decodes each chunk on the calling thread, in chunk
-order; on a tape, each chunk records on a tape of its own, and the
-reverse pass pulls the chunks back on the same threads.
+:func:`forward` walks its queries in chunks whose latent block is at
+most :data:`QUERY_BLOCK_BYTES`, a size that weighs the interpreter-lock
+handoff each numpy call pays on a pool thread against the thread's own
+L2 cache.  It runs the chunks' message passing on
+:data:`diffcore.POOL_WORKERS` threads at once and decodes each chunk on
+the calling thread, in chunk order; on a tape, each chunk records on a
+tape of its own, and the reverse pass pulls the chunks back on the same
+threads.
 
 Architecture: node features ``[I(u=i), I(v=i)]`` and edge features
 ``[w_k]`` are encoded independently by 2-layer MLPs, each followed by
@@ -48,12 +50,18 @@ CHECKPOINT_FORMAT = "routegrad-gnn"
 CHECKPOINT_VERSION = 2
 NODE_FEATURES = 2
 EDGE_FEATURES = 1
-# Largest sum of the ``[chunk, n_e, hidden]`` latent blocks forward has in
-# flight at once.  Forward and backward each run diffcore.POOL_WORKERS
-# chunks in parallel, so a chunk's block is at most this // POOL_WORKERS.
-# Each op streams blocks of that size; at 1 MiB in all they stay resident
-# in a 2 MiB L2 cache between the element-wise passes instead of going out
-# to memory on every pass.
+# Largest ``[chunk, n_e, hidden]`` latent block of one query chunk.  Each
+# pool thread works on one chunk at a time, on a core with its own L2
+# cache, so the budget is per chunk and does not shrink with
+# diffcore.POOL_WORKERS.  It trades two costs.  A numpy call on a pool
+# thread releases the interpreter lock and must win it back from the
+# other thread, and short calls pay for that handoff: on a 2-CPU host,
+# descent_n24's untaped forward took 785-868 ms of summed thread CPU time
+# in 46 chunks of 12 queries on two threads, 730 ms in 24 chunks of 23,
+# and 619 ms in 23 chunks of 24 inline on one CPU.  A block past the
+# 2 MiB L2, on the other hand, goes out to memory on every element-wise
+# pass.  Of 0.5, 1, 1.5, 2 and 3 MiB, 1 MiB stepped descent_n24 fastest,
+# and the peak memory grows with the chunk beyond it.
 QUERY_BLOCK_BYTES = 2**20
 
 
@@ -226,7 +234,9 @@ def forward(
 
     The edge encoder reads the weights alone, so it runs once, and the
     queries are split into near-equal chunks whose ``[chunk, n_e, hidden]``
-    latent block is at most ``QUERY_BLOCK_BYTES // diffcore.POOL_WORKERS``.
+    latent block is at most ``QUERY_BLOCK_BYTES``.  The bound is per chunk,
+    not per pool: chunks as large as a thread's L2 allows make each numpy
+    call long enough to amortize its handoff between the pool threads.
     The chunk count is rounded up to a multiple of the pool's workers,
     so that they share the chunks evenly, but never past one chunk per
     query.  :func:`diffcore.map_rows` joins the chunks: their
@@ -255,7 +265,7 @@ def forward(
     edges = _mlp_ln([(dc.reshape(w, (1, g.edge_count, 1)), None)], mt, "enc_edge")
     workers = dc.POOL_WORKERS
     block = g.edge_count * model.config.hidden * ind.itemsize
-    cap = max(1, QUERY_BLOCK_BYTES // workers // max(1, block))
+    cap = max(1, QUERY_BLOCK_BYTES // max(1, block))
     chunks = -(-len(ind) // cap)
     chunks = max(1, min(len(ind), -(-chunks // workers) * workers))
     outs = dc.map_rows(

@@ -926,7 +926,7 @@ INDEXED_OPS = {
 
 
 def _indexed_input(summed: bool, idx) -> np.ndarray:
-    return np.random.default_rng(41).normal(size=(2, len(idx) if summed else 4, 3))
+    return np.random.default_rng(41).normal(size=(2, np.size(idx) if summed else 4, 3))
 
 
 @pytest.mark.parametrize("op", INDEXED_OPS)
@@ -938,6 +938,26 @@ def test_bool_among_integer_indices_rejected(op, bad):
     with pytest.raises(GraphError):
         fn(x, bad)
     fn(x, [int(i) for i in bad])
+
+
+@pytest.mark.parametrize("op", INDEXED_OPS)
+@pytest.mark.parametrize("bad", [[[0, 1], [1, 0]], 1], ids=["two_axes", "scalar"])
+def test_index_of_other_than_one_axis_rejected(op, bad):
+    # a gathered term would take [2, 2] rows of a [4, 3] input, whose
+    # gradient then failed to scatter back with numpy's IndexError; a
+    # scalar would drop the row axis
+    fn, summed = INDEXED_OPS[op]
+    with pytest.raises(dc.ShapeMismatchError):
+        fn(dc.Tensor(_indexed_input(summed, bad)), bad)
+
+
+@pytest.mark.parametrize("op", INDEXED_OPS)
+def test_input_without_rows_rejected(op):
+    # index_rows and segment_sum read the rows of a one-axis input as
+    # shape[-2], which numpy's IndexError reported
+    fn, _ = INDEXED_OPS[op]
+    with pytest.raises(dc.ShapeMismatchError):
+        fn(dc.Tensor(np.ones(4)), [0, 1, 2, 3])
 
 
 @pytest.mark.parametrize("op", INDEXED_OPS)

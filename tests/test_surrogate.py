@@ -268,13 +268,9 @@ def chorded_ring():
     return ng.build_graph(n, links)
 
 
-def force_chunks(monkeypatch, g, model, queries):
-    """Shrinks the latent blocks so forward walks chunks of at most
-    ``queries`` queries, one such block per pool worker, and returns the
-    list the row count of every chunk body call is appended to, in the
-    order the pool starts them."""
-    block = queries * g.edge_count * model.config.hidden * 8
-    monkeypatch.setattr(sg, "QUERY_BLOCK_BYTES", block * dc.POOL_WORKERS)
+def counted_chunks(monkeypatch):
+    """The list the row count of every chunk body call is appended to, in
+    the order the pool starts them."""
     rows, body = [], sg._forward_chunk
 
     def counted(g, edges, indicators, *args):
@@ -283,6 +279,13 @@ def force_chunks(monkeypatch, g, model, queries):
 
     monkeypatch.setattr(sg, "_forward_chunk", counted)
     return rows
+
+
+def force_chunks(monkeypatch, g, model, queries):
+    """Shrinks the latent blocks so forward walks chunks of at most
+    ``queries`` queries, and returns :func:`counted_chunks`' list."""
+    monkeypatch.setattr(sg, "QUERY_BLOCK_BYTES", queries * g.edge_count * model.config.hidden * 8)
+    return counted_chunks(monkeypatch)
 
 
 @contextlib.contextmanager
@@ -483,6 +486,9 @@ class TestForwardChunks:
     @pytest.mark.parametrize(
         "queries, workers, expected",
         [
+            # 32 and 552 are the benchmark's batch sizes (train_n24 and
+            # descent_n24), here at 12 queries a chunk at most;
+            # test_shipped_layouts pins the chunks the real cap gives them
             (32, 2, [8] * 4),  # 3 chunks of at most 12, rounded up to 4
             (552, 2, [12] * 46),
             (3, 2, [2, 1]),
@@ -504,6 +510,32 @@ class TestForwardChunks:
         # chunk order, which test_chunks_equal_one_forward pins
         assert sorted(rows, reverse=True) == expected
         assert final.shape == (queries, g.edge_count)
+
+    @pytest.mark.parametrize(
+        "queries, workers, expected",
+        [
+            (552, 2, [23] * 24),  # descent_n24: every ordered pair
+            (552, 1, [24] * 23),
+            (32, 2, [16] * 2),  # train_n24: one batch
+            (32, 1, [16] * 2),
+        ],
+    )
+    def test_shipped_layouts(self, queries, workers, expected, monkeypatch):
+        # the real QUERY_BLOCK_BYTES on a graph of the benchmark's size (24
+        # nodes, 80 links) at its width H=64: at most 25 queries a chunk,
+        # so a retune of the constant shows up here.  The layout does not
+        # depend on the rounds.
+        n = 24
+        links = [(i, (i + 1) % n, 1.0, False) for i in range(n)]
+        links += [(i, i + 5, 1.0, False) for i in range(16)]
+        g = ng.build_graph(n, links)
+        assert g.edge_count == 80
+        model = sg.GnnModel.initialize(sg.GnnConfig(hidden=64, rounds=1), seed=1)
+        monkeypatch.setattr(dc, "POOL_WORKERS", workers)
+        rows = counted_chunks(monkeypatch)
+        pairs = ng.ordered_pairs(n)
+        sg.forward(g, np.ones(g.edge_count), sg.query_indicators(g, pairs[:queries]), model)
+        assert sorted(rows, reverse=True) == expected
 
     def test_per_step_parameter_gradients_equal_one_chunk(self, monkeypatch):
         # a training step on two workers: every round's output is the one
@@ -549,7 +581,7 @@ class TestForwardChunks:
                 return sigmoid(x)
 
             with pytest.MonkeyPatch.context() as m:
-                m.setattr(sg, "QUERY_BLOCK_BYTES", block * dc.POOL_WORKERS)
+                m.setattr(sg, "QUERY_BLOCK_BYTES", block)
                 m.setattr(sg, "_forward_chunk", chunk)
                 m.setattr(dc, "sigmoid", decode)
                 wt = dc.Tensor(batch[0], requires_grad=True)
