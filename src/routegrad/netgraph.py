@@ -213,12 +213,13 @@ def ordered_pairs(node_count: int) -> np.ndarray:
 
     Lexicographic over (source, destination) with source != destination;
     row i of every routing matrix and entry i of every demand vector
-    refer to ``ordered_pairs(n)[i]``.
+    refer to ``ordered_pairs(n)[i]``.  ``node_count`` passes
+    :func:`positive_integer`.
 
     Returns:
         int64 array of shape ``(n*(n-1), 2)``.
     """
-    n = int(node_count)
+    n = positive_integer(node_count, "node_count")
     return np.argwhere(~np.eye(n, dtype=bool))
 
 
@@ -257,6 +258,12 @@ def default_ospf_weights(g: Graph) -> np.ndarray:
 
 
 def validate_demands(g: Graph, demands: np.ndarray) -> np.ndarray:
+    """Checks a demand vector's shape and range; returns float64 view.
+
+    Entry i is the traffic from ``ordered_pairs(n)[i][0]`` to
+    ``ordered_pairs(n)[i][1]``, so the shape is ``(g.pair_count,)``.
+    Demands must be finite and non-negative; NaN fails the test.
+    """
     d = np.asarray(demands, dtype=np.float64)
     if d.shape != (g.pair_count,):
         raise DimensionMismatchError(

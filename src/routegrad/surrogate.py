@@ -10,11 +10,12 @@ link weights, the matrix the weight optimizer descends through.
 :func:`forward` walks its queries in chunks whose latent block is at
 most :data:`QUERY_BLOCK_BYTES`, a size that weighs the interpreter-lock
 handoff each numpy call pays on a pool thread against the thread's own
-L2 cache.  It runs the chunks' message passing on
-:data:`diffcore.POOL_WORKERS` threads at once and decodes each chunk on
-the calling thread, in chunk order; on a tape, each chunk records on a
-tape of its own, and the reverse pass pulls the chunks back on the same
-threads.
+L2 cache.  The chunk layout follows from the inputs alone, never from
+the host's CPU count, so every output and gradient is the same bit for
+bit on any host.  It runs the chunks' message passing on the
+``diffcore`` pool and decodes each chunk on the calling thread, in chunk
+order; on a tape, each chunk records on a tape of its own, and the
+reverse pass pulls the chunks back on the pool.
 
 Architecture: node features ``[I(u=i), I(v=i)]`` and edge features
 ``[w_k]`` are encoded independently by 2-layer MLPs, each followed by
@@ -52,17 +53,19 @@ NODE_FEATURES = 2
 EDGE_FEATURES = 1
 # Largest ``[chunk, n_e, hidden]`` latent block of one query chunk.  Each
 # pool thread works on one chunk at a time, on a core with its own L2
-# cache, so the budget is per chunk and does not shrink with
-# diffcore.POOL_WORKERS.  It trades two costs.  A numpy call on a pool
-# thread releases the interpreter lock and must win it back from the
-# other thread, and short calls pay for that handoff: on a 2-CPU host,
-# descent_n24's untaped forward took 785-868 ms of summed thread CPU time
-# in 46 chunks of 12 queries on two threads, 730 ms in 24 chunks of 23,
-# and 619 ms in 23 chunks of 24 inline on one CPU.  A block past the
-# 2 MiB L2, on the other hand, goes out to memory on every element-wise
-# pass.  Of 0.5, 1, 1.5, 2 and 3 MiB, 1 MiB stepped descent_n24 fastest,
-# and the peak memory grows with the chunk beyond it.
-QUERY_BLOCK_BYTES = 2**20
+# cache, so the budget is per chunk.  It trades two costs.  A numpy call
+# on a pool thread releases the interpreter lock and must win it back
+# from the other thread, and short calls pay for that handoff: on a 2-CPU
+# host, descent_n24's untaped forward took 785-868 ms of summed thread
+# CPU time in 46 chunks of 12 queries on two threads, 730 ms in 24 chunks
+# of 23, and 619 ms in 23 chunks of 24 inline on one CPU.  A block past
+# the 2 MiB L2, on the other hand, goes out to memory on every
+# element-wise pass.  A sweep of descent_n24 from 46 chunks of 12
+# queries to 8 of 69 stepped fastest at 24 chunks of 23, and the peak
+# memory grows with the chunk beyond that.  920 KiB is 23 queries at
+# descent_n24's 80 links and H=64, so its 552 queries run as 24 chunks of
+# 23, and train_n24's 32 as 2 of 16.
+QUERY_BLOCK_BYTES = 920 * 2**10
 
 
 class CheckpointError(ValueError):
@@ -233,13 +236,14 @@ def forward(
         and, when ``per_step``, the list of all per-round outputs.
 
     The edge encoder reads the weights alone, so it runs once, and the
-    queries are split into near-equal chunks whose ``[chunk, n_e, hidden]``
-    latent block is at most ``QUERY_BLOCK_BYTES``.  The bound is per chunk,
-    not per pool: chunks as large as a thread's L2 allows make each numpy
-    call long enough to amortize its handoff between the pool threads.
-    The chunk count is rounded up to a multiple of the pool's workers,
-    so that they share the chunks evenly, but never past one chunk per
-    query.  :func:`diffcore.map_rows` joins the chunks: their
+    queries are split into the fewest near-equal chunks whose ``[chunk,
+    n_e, hidden]`` latent block is at most ``QUERY_BLOCK_BYTES``, or into
+    chunks of one query when one query's block is larger.  The bound is per chunk, not per pool: chunks as large
+    as a thread's L2 allows make each numpy call long enough to amortize
+    its handoff between the pool threads.  The layout depends on the
+    query count, the graph and the width alone, not on the pool's size,
+    so the chunks' gradients are summed in the same order, and agree bit
+    for bit, on any host.  :func:`diffcore.map_rows` joins the chunks: their
     message passing runs in parallel on the pool and their decoder on the
     calling thread, in chunk order, and on a tape they are pulled back in
     parallel, into whatever tracked tensors the chunks read (the shared
@@ -263,11 +267,9 @@ def forward(
         raise GraphError("indicators contain NaN or infinity")
 
     edges = _mlp_ln([(dc.reshape(w, (1, g.edge_count, 1)), None)], mt, "enc_edge")
-    workers = dc.POOL_WORKERS
     block = g.edge_count * model.config.hidden * ind.itemsize
     cap = max(1, QUERY_BLOCK_BYTES // max(1, block))
-    chunks = -(-len(ind) // cap)
-    chunks = max(1, min(len(ind), -(-chunks // workers) * workers))
+    chunks = max(1, -(-len(ind) // cap))
     outs = dc.map_rows(
         lambda rows: _forward_chunk(g, edges, rows, model, mt, per_step),
         np.array_split(ind, chunks),

@@ -229,11 +229,14 @@ def test_node_indices_returns_a_private_int64_copy():
 
 
 # Every size applies the one rule of ``netgraph.positive_integer``; each
-# call below gives ``x`` as one size and returns the size stored.
+# entry names the size its errors name, and its call gives ``x`` as that
+# size and returns the size stored.
 SIZE_ENTRY_POINTS = {
-    "node_count": lambda x: ng.Graph(x, [], [], []).node_count,
-    "hidden": lambda x: sg.GnnConfig(hidden=x).hidden,
-    "rounds": lambda x: sg.GnnConfig(rounds=x).rounds,
+    "node_count": ("node_count", lambda x: ng.Graph(x, [], [], []).node_count),
+    "hidden": ("hidden", lambda x: sg.GnnConfig(hidden=x).hidden),
+    "rounds": ("rounds", lambda x: sg.GnnConfig(rounds=x).rounds),
+    # one node has no pair
+    "ordered_pairs": ("node_count", lambda x: len(ng.ordered_pairs(x)) + 1),
 }
 
 
@@ -244,14 +247,15 @@ SIZE_ENTRY_POINTS = {
     ids=["zero", "negative", "bool", "np_bool", "float", "np_float64", "string", "none"],
 )
 def test_every_size_rejects_the_same_values(entry, x):
-    with pytest.raises(ng.GraphError, match=f"{entry} must be an integer >= 1"):
-        SIZE_ENTRY_POINTS[entry](x)
+    size, call = SIZE_ENTRY_POINTS[entry]
+    with pytest.raises(ng.GraphError, match=f"{size} must be an integer >= 1"):
+        call(x)
 
 
 @pytest.mark.parametrize("entry", SIZE_ENTRY_POINTS)
 @pytest.mark.parametrize("x", [1, np.int64(1), np.uint8(1)], ids=["int", "np_int64", "np_uint8"])
 def test_every_size_stores_an_int(entry, x):
-    out = SIZE_ENTRY_POINTS[entry](x)
+    out = SIZE_ENTRY_POINTS[entry][1](x)
     assert out == 1 and type(out) is int
 
 

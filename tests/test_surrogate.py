@@ -292,7 +292,6 @@ def force_chunks(monkeypatch, g, model, queries):
 def one_chunk():
     """Every forward in the block, and its pullback, runs as one chunk."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(dc, "POOL_WORKERS", 1)
         m.setattr(sg, "QUERY_BLOCK_BYTES", 2**62)
         yield
 
@@ -489,16 +488,16 @@ class TestForwardChunks:
             # 32 and 552 are the benchmark's batch sizes (train_n24 and
             # descent_n24), here at 12 queries a chunk at most;
             # test_shipped_layouts pins the chunks the real cap gives them
-            (32, 2, [8] * 4),  # 3 chunks of at most 12, rounded up to 4
+            (32, 2, [11, 11, 10]),
             (552, 2, [12] * 46),
-            (3, 2, [2, 1]),
+            (3, 2, [3]),
             (1, 2, [1]),
             (32, 1, [11, 11, 10]),
         ],
     )
     def test_chunk_count_rule(self, queries, workers, expected, monkeypatch):
-        # at most 12 queries a chunk, a chunk count that is a multiple of
-        # the workers and at most the query count, and near-equal chunks
+        # the fewest near-equal chunks of at most 12 queries, whatever the
+        # pool's size: the workers are set only to show they change nothing
         g = chorded_ring()
         model = sg.GnnModel.initialize(sg.GnnConfig(hidden=4, rounds=2), seed=1)
         monkeypatch.setattr(dc, "POOL_WORKERS", workers)
@@ -515,16 +514,18 @@ class TestForwardChunks:
         "queries, workers, expected",
         [
             (552, 2, [23] * 24),  # descent_n24: every ordered pair
-            (552, 1, [24] * 23),
+            (552, 1, [23] * 24),
             (32, 2, [16] * 2),  # train_n24: one batch
             (32, 1, [16] * 2),
+            (552, 4, [23] * 24),
+            (32, 4, [16] * 2),
         ],
     )
     def test_shipped_layouts(self, queries, workers, expected, monkeypatch):
         # the real QUERY_BLOCK_BYTES on a graph of the benchmark's size (24
-        # nodes, 80 links) at its width H=64: at most 25 queries a chunk,
-        # so a retune of the constant shows up here.  The layout does not
-        # depend on the rounds.
+        # nodes, 80 links) at its width H=64: at most 23 queries a chunk,
+        # so a retune of the constant shows up here.  The layout depends
+        # on neither the rounds nor the pool's size.
         n = 24
         links = [(i, (i + 1) % n, 1.0, False) for i in range(n)]
         links += [(i, i + 5, 1.0, False) for i in range(16)]
@@ -549,17 +550,28 @@ class TestForwardChunks:
         with pool_of(2):
             rows = force_chunks(monkeypatch, g, model, 3)
             steps, loss, grads = training_gradient(g, w, ind, labels, model)
-        assert len(rows) == 12
+        assert len(rows) == 11
         assert len(steps) == len(one_steps) == 3
         assert all(np.array_equal(a, b) for a, b in zip(steps, one_steps))
         assert loss == one_loss
         for name, a, b in zip(model.params, grads, one_grads):
             assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b)), name
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_pooled_forward_bitwise_equals_inline(self, workers):
-        # chunks of 8 queries: 12 chunks of the 90 pairs and 4 of a
-        # 32-query batch, for 1, 2 and 4 workers alike.  4 workers
+    @pytest.mark.parametrize(
+        "workers, queries, chunks",
+        [
+            pytest.param(2, 8, (12, 4), id="2"),
+            pytest.param(4, 8, (12, 4), id="4"),
+            # chunk counts that are a multiple of neither 2 nor 4 workers
+            pytest.param(2, 11, (9, 3), id="2-odd_chunks"),
+            pytest.param(4, 11, (9, 3), id="4-odd_chunks"),
+        ],
+    )
+    def test_pooled_forward_bitwise_equals_inline(self, workers, queries, chunks):
+        # chunks of at most ``queries`` queries: ``chunks`` counts those
+        # of the 90 pairs and of a 32-query batch, for 1, 2 and 4 workers
+        # alike, so P, the weight gradient, every round's output and the
+        # parameter gradients are the inline ones bit for bit.  4 workers
         # outnumber the cores of a 2-CPU host, and a short switch interval
         # interleaves the chunks as finely as it can.  The message passing
         # runs on the pool and the decoder on the calling thread.
@@ -567,7 +579,7 @@ class TestForwardChunks:
         model = offset_model(sg.GnnConfig(hidden=8, rounds=3), seed=4)
         d = np.random.default_rng(5).uniform(0.0, 1.0, g.pair_count)
         batch = training_batch(g, np.random.default_rng(6))
-        block = 8 * g.edge_count * model.config.hidden * 8
+        block = queries * g.edge_count * model.config.hidden * 8
 
         def run(threads):
             body, sigmoid = sg._forward_chunk, dc.sigmoid
@@ -601,13 +613,14 @@ class TestForwardChunks:
                 pooled = run(threads)
             finally:
                 sys.setswitchinterval(interval)
-        me = threading.get_ident()
-        chunks = [t for what, t in threads if what == "chunk"]
-        assert len(chunks) == 12 + 4 and me not in chunks
-        assert [t for what, t in threads if what == "decode"] == [me] * (12 + 4 * 3)
         assert np.array_equal(pooled[0], inline[0]) and np.array_equal(pooled[1], inline[1])
         for a, b in zip(pooled[2] + pooled[3], inline[2] + inline[3], strict=True):
             assert np.array_equal(a, b)
+        me = threading.get_ident()
+        pairs_chunks, batch_chunks = chunks
+        ran = [t for what, t in threads if what == "chunk"]
+        assert len(ran) == pairs_chunks + batch_chunks and me not in ran
+        assert [t for what, t in threads if what == "decode"] == [me] * (pairs_chunks + batch_chunks * 3)
 
     def test_edge_encoder_runs_once_per_forward(self, monkeypatch):
         # it reads the weights alone, so every chunk shares its one block
