@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netgraph import node_indices
+from .netgraph import node_indices, real_values
 
 
 class DiffcoreError(ValueError):
@@ -99,14 +99,16 @@ def _active_tape():
 class Tensor:
     """A float64 ndarray participating in autodiff.
 
-    ``requires_grad`` marks a leaf whose gradient may later be requested;
-    derived tensors inherit the flag from their inputs.
+    The data passes :func:`netgraph.real_values`, so a float64 array is
+    held as it is, not copied.  ``requires_grad`` marks a leaf whose
+    gradient may later be requested; derived tensors inherit the flag
+    from their inputs.
     """
 
     __slots__ = ("data", "requires_grad", "_uid")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = real_values(data, "tensor data")
         self.requires_grad = bool(requires_grad)
         self._uid = next(_uid_counter)
 
@@ -940,6 +942,10 @@ def soft_maximum(x, tau: float) -> Tensor:
     x = as_tensor(x)
     if x.size == 0:
         raise EmptyVectorError("soft_maximum of an empty tensor")
+    # the max shift turns an infinity into inf - inf = NaN, and a NaN
+    # entry gives NaN without a warning
+    if not np.all(np.isfinite(x.data)):
+        raise DiffcoreError("soft_maximum of a tensor with a NaN or an infinite entry")
     if not tau > 0.0:
         raise NonPositiveTemperatureError(f"temperature must be positive, got {tau}")
     # shifting by the (detached) max leaves both value and gradient intact
@@ -980,7 +986,7 @@ def binary_cross_entropy(p, labels) -> Tensor:
     gradients are bit for bit the chain's.
     """
     p = as_tensor(p)
-    y = np.asarray(labels.data if isinstance(labels, Tensor) else labels, dtype=np.float64)
+    y = real_values(labels.data if isinstance(labels, Tensor) else labels, "labels")
     if y.shape != p.shape:
         raise ShapeMismatchError(f"labels shape {y.shape} vs predictions {p.shape}")
     if not np.all((y >= 0.0) & (y <= 1.0)):
@@ -1032,16 +1038,22 @@ def adam_step(state: AdamState, params: dict, grads: dict, lr: float) -> tuple[A
     """One Adam update with bias correction; parameters update in place.
 
     The moment decays are :data:`ADAM_BETA1` and :data:`ADAM_BETA2`, and
-    :data:`ADAM_EPS` is added to the root of the second moment.
+    :data:`ADAM_EPS` is added to the root of the second moment.  Every
+    parameter's gradient and moments are checked before anything is
+    written: a missing or misshapen one raises
+    :class:`ShapeMismatchError` and leaves ``state`` and ``params`` as
+    they were.
     """
+    for name, p in params.items():
+        shapes = [x[name].shape if name in x else None for x in (grads, state.m, state.v)]
+        if shapes != [p.shape] * 3:
+            raise ShapeMismatchError(f"grad and moment shapes {shapes} vs param {p.shape} for {name!r}")
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeMismatchError(f"grad shape {g.shape} vs param {p.shape} for {name!r}")
         m = state.m[name]
         v = state.v[name]
         m *= ADAM_BETA1

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .netgraph import Graph, GraphError, node_indices, ordered_pairs, validate_demands, validate_weights
+from .netgraph import Graph, GraphError, node_indices, ordered_pairs, real_values, validate_demands, validate_weights
 
 
 class UnreachableError(GraphError):
@@ -302,10 +302,12 @@ def link_loads(g: Graph, weights: np.ndarray, demands: np.ndarray) -> np.ndarray
     n = g.node_count
     rec = _record(g)
     known, matrix, states = rec.view
-    d = np.asarray(demands, dtype=np.float64)
-    # demands equal to the stored copy passed validation when it was made.
-    # -0.0 equals 0.0 here: it can only change the sign of a zero carry,
-    # and ``bincount`` starts each link's sum at +0.0
+    # checked before the comparison: a bool or complex array can equal
+    # the stored copy
+    d = real_values(demands, "demand vector", (g.pair_count,))
+    # demands equal to the stored copy passed the range check when it was
+    # made.  -0.0 equals 0.0 here: it can only change the sign of a zero
+    # carry, and ``bincount`` starts each link's sum at +0.0
     new_demands = known is None or not np.array_equal(d, known)
     if new_demands:
         d = validate_demands(g, d)

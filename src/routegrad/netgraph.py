@@ -9,7 +9,10 @@ routing-matrix rows alike, follows one fixed enumeration,
 source, a query endpoint or a path endpoint, passes one rule,
 :func:`node_indices`, and so does every row index ``diffcore`` gathers
 or sums by.  Every size, a node count, a latent width or a round count,
-passes another, :func:`positive_integer`.
+passes a second, :func:`positive_integer`.  Every real-valued input, a
+capacity, a weight, a demand, a path membership, a query indicator, a
+``diffcore`` tensor or label, or a checkpoint's parameter, passes the
+third, :func:`real_values`.
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ class Graph:
             passes :func:`positive_integer` and is stored as an ``int``.
         receivers: int array of length ``edge_count``; head of each link.
         senders: int array of length ``edge_count``; tail of each link.
-        capacities: float64 array of per-link capacities (Mbps).
+        capacities: float64 array of per-link capacities (Mbps); they
+            pass :func:`real_values`.
         name: Free-form label used in reports.
     """
 
@@ -90,13 +94,9 @@ class Graph:
         # to them later cannot change a graph that has been validated
         receivers = node_indices(self.receivers, n, "receivers")
         senders = node_indices(self.senders, n, "senders")
-        capacities = np.array(self.capacities, dtype=np.float64)
         if receivers.ndim != 1 or senders.shape != receivers.shape:
             raise DimensionMismatchError("receivers and senders must be equal-length 1-D arrays")
-        if capacities.shape != receivers.shape:
-            raise DimensionMismatchError(
-                f"capacities has length {capacities.size}, expected {receivers.size}"
-            )
+        capacities = np.array(real_values(self.capacities, "capacities", receivers.shape))
         if np.any(receivers == senders):
             k = int(np.flatnonzero(receivers == senders)[0])
             raise SelfLoopError(f"edge {k} is a self-loop at node {int(receivers[k])}")
@@ -178,6 +178,34 @@ def node_indices(values, n: int, what: str) -> np.ndarray:
     return np.array(raw, dtype=np.int64)
 
 
+def real_values(values, what: str, shape: tuple | None = None) -> np.ndarray:
+    """The one rule for real-valued inputs: ``values`` as a float64 array.
+
+    ``values`` is a Python or numpy int or float, an integer or float
+    array, or a nested sequence of such numbers.  A bool (Python or
+    numpy), a string, a complex number, None or a ragged entry raises
+    :class:`GraphError`: a cast would read ``True`` and ``"1"`` as 1.0
+    and drop a complex number's imaginary part.  When ``shape`` is given,
+    any other shape raises :class:`DimensionMismatchError`.  A float64
+    array comes back as the same object, not a copy: ``validate_weights``
+    returns a view of the caller's weights, and a ``diffcore.Tensor``
+    aliases the array it wraps.  Anything else comes back as a new array.
+    Ranges are left to the callers.
+    """
+    raw = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if raw.dtype == object:
+        # checked entry by entry: numpy reads ``[True, 0.5]`` as float64,
+        # and a ragged entry is left as a sequence here
+        real = all(isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool) for x in raw.flat)
+    else:
+        real = raw.dtype.kind in "iuf"
+    if not real:
+        raise GraphError(f"{what} has an entry that is not a real number")
+    if shape is not None and raw.shape != shape:
+        raise DimensionMismatchError(f"{what} has shape {raw.shape}, expected {shape}")
+    return np.asarray(raw, dtype=np.float64)
+
+
 def build_graph(
     node_count: int,
     links: Iterable[tuple[int, int, float, bool]],
@@ -224,8 +252,15 @@ def ordered_pairs(node_count: int) -> np.ndarray:
 
 
 def floor_weights(weights: np.ndarray) -> np.ndarray:
-    """Projects a weight vector onto the valid domain ``[W_MIN, W_MAX]``."""
-    return np.clip(np.asarray(weights, dtype=np.float64), W_MIN, W_MAX)
+    """Projects a weight vector onto the valid domain ``[W_MIN, W_MAX]``.
+
+    NaN has no nearest point in the domain, so it raises
+    :class:`GraphError`, as in :func:`validate_weights`.
+    """
+    w = real_values(weights, "weights")
+    if np.isnan(w).any():
+        raise GraphError("weights must not be NaN")
+    return np.clip(w, W_MIN, W_MAX)
 
 
 def validate_weights(g: Graph, weights: np.ndarray) -> np.ndarray:
@@ -235,11 +270,7 @@ def validate_weights(g: Graph, weights: np.ndarray) -> np.ndarray:
     ceiling).  NaN fails the range test: a NaN link is never relaxed, so it
     would silently act as removed.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (g.edge_count,):
-        raise DimensionMismatchError(
-            f"weight vector has shape {w.shape}, expected ({g.edge_count},)"
-        )
+    w = real_values(weights, "weight vector", (g.edge_count,))
     if not np.all((w >= W_MIN) & (w <= W_MAX)):
         raise GraphError(f"weights must lie in [W_MIN, W_MAX] = [{W_MIN}, {W_MAX}]")
     return w
@@ -264,11 +295,7 @@ def validate_demands(g: Graph, demands: np.ndarray) -> np.ndarray:
     ``ordered_pairs(n)[i][1]``, so the shape is ``(g.pair_count,)``.
     Demands must be finite and non-negative; NaN fails the test.
     """
-    d = np.asarray(demands, dtype=np.float64)
-    if d.shape != (g.pair_count,):
-        raise DimensionMismatchError(
-            f"demand vector has shape {d.shape}, expected ({g.pair_count},)"
-        )
+    d = real_values(demands, "demand vector", (g.pair_count,))
     if not np.all((d >= 0.0) & (d < np.inf)):
         raise GraphError("demands must be finite and non-negative")
     return d
@@ -279,18 +306,14 @@ def validate_path_vector(g: Graph, membership: np.ndarray, u: int, v: int) -> No
 
     Raises:
         GraphError: when ``u`` or ``v`` is not one node of ``g`` (see
-            :func:`node_indices`) or the marked edges do not form one
-            simple path.
+            :func:`node_indices`), ``membership`` fails :func:`real_values`
+            or the marked edges do not form one simple path.
     """
     ends = node_indices([u, v], g.node_count, "path endpoints")
     if ends.shape != (2,):
         raise GraphError(f"path endpoints {u!r}, {v!r} are not two nodes")
     u, v = ends.tolist()
-    p = np.asarray(membership)
-    if p.shape != (g.edge_count,):
-        raise DimensionMismatchError(
-            f"path vector has shape {p.shape}, expected ({g.edge_count},)"
-        )
+    p = real_values(membership, "path vector", (g.edge_count,))
     if u == v:
         raise GraphError("a path requires distinct endpoints")
     marked = np.flatnonzero(p)

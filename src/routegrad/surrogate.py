@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .netgraph import Graph, GraphError, node_indices, ordered_pairs, positive_integer, validate_weights
+from .netgraph import Graph, GraphError, node_indices, ordered_pairs, positive_integer, real_values, validate_weights
 
 CHECKPOINT_FORMAT = "routegrad-gnn"
 CHECKPOINT_VERSION = 2
@@ -223,8 +223,7 @@ def forward(
         weights: Link weights; pass a ``requires_grad`` Tensor to obtain
             gradients with respect to them.
         indicators: Finite ``[n_q, n_v, 2]`` query features (see
-            :func:`query_indicators`).  Disjoint graph components may
-            carry independent queries in a single row.
+            :func:`query_indicators`).
         model: Trained or fresh model.
         per_step: Also return the decoder output after every round.
         model_tensors: Pre-wrapped parameter tensors, to share across
@@ -254,13 +253,14 @@ def forward(
     Raises:
         GraphError: ``weights`` is not ``[n_e]`` or has a value outside
             ``[W_MIN, W_MAX]`` (NaN included; see
-            :func:`netgraph.validate_weights`), or ``indicators`` is not a
-            finite ``[n_q, n_v, 2]`` array.
+            :func:`netgraph.validate_weights`), or ``indicators`` fails
+            :func:`netgraph.real_values` or is not a finite ``[n_q, n_v,
+            2]`` array.
     """
     mt = model_tensors if model_tensors is not None else model.tensors()
     w = dc.as_tensor(weights)
     validate_weights(g, w.data)
-    ind = np.ascontiguousarray(indicators, dtype=np.float64)
+    ind = np.ascontiguousarray(real_values(indicators, "indicators"))
     if ind.ndim != 3 or ind.shape[1:] != (g.node_count, NODE_FEATURES):
         raise GraphError(f"indicators shape {ind.shape}, expected (n_q, {g.node_count}, {NODE_FEATURES})")
     if not np.all(np.isfinite(ind)):
@@ -404,11 +404,8 @@ def _model_from_document(doc) -> GnnModel:
             shape = tuple(entry["shape"])
             if shape != expected[name]:
                 raise CheckpointError(f"{name}: stored shape {shape} != expected {expected[name]}")
-            data = entry["data"]
-            # a cast would read "0.5" as 0.5, true as 1.0 and [[0.5]] as a row
-            if not isinstance(data, list) or not all(type(x) in (int, float) for x in data):
-                raise CheckpointError(f"{name}: data is not a flat list of numbers")
-            arr = np.array(data, dtype=np.float64).reshape(shape)
+            # flat, so that [[0.5]] is not read as a row
+            arr = real_values(entry["data"], f"{name} data", (int(np.prod(shape)),)).reshape(shape)
             if not np.all(np.isfinite(arr)):
                 raise CheckpointError(f"{name}: non-finite values")
             params[name] = arr

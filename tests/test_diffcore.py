@@ -789,6 +789,13 @@ class TestSoftMaximum:
         with pytest.raises(dc.NonPositiveTemperatureError):
             dc.soft_maximum(dc.Tensor([1.0]), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "minus_inf", "nan"])
+    def test_non_finite_entry_rejected(self, bad):
+        # the max shift turns an infinity into inf - inf = NaN, and a NaN
+        # entry would give NaN without a warning
+        with pytest.raises(dc.DiffcoreError, match="infinite"):
+            dc.soft_maximum(dc.Tensor([1.0, bad]), 0.1)
+
 
 class TestBinaryCrossEntropy:
     def test_perfect_predictions(self):
@@ -1130,6 +1137,17 @@ class TestAdam:
         state = dc.AdamState.for_params(params)
         with pytest.raises(dc.ShapeMismatchError):
             dc.adam_step(state, params, {"w": np.zeros(3)}, lr=0.01)
+
+    @pytest.mark.parametrize("grads", [{"a": np.ones(2), "b": np.ones(2)}, {"a": np.ones(2)}], ids=["misshapen", "missing"])
+    def test_rejected_step_writes_nothing(self, grads):
+        # "a" comes first, so a check made while updating would move it
+        params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0])}
+        state = dc.AdamState.for_params(params)
+        dc.adam_step(state, params, {"a": np.array([0.5, -1.0]), "b": np.array([2.0])}, lr=0.1)
+        before = [state.step] + [d[k].tobytes() for d in (params, state.m, state.v) for k in params]
+        with pytest.raises(dc.ShapeMismatchError):
+            dc.adam_step(state, params, grads, lr=0.1)
+        assert [state.step] + [d[k].tobytes() for d in (params, state.m, state.v) for k in params] == before
 
 
 class TestFiniteDifferenceCheck:

@@ -228,6 +228,115 @@ def test_node_indices_returns_a_private_int64_copy():
         assert out.dtype == np.int64 and out.shape == (0,)
 
 
+# Every real-valued input applies the one rule of ``netgraph.real_values``;
+# each call below gives ``x`` as one entry of that input, where 1.0 is a
+# valid value, on ``triangle_directed`` where the input is over a graph.
+def _capacity(x):
+    ng.Graph(3, [1, 2, 2, 0, 1, 0], [0, 1, 0, 1, 2, 2], [x, 1, 1, 1, 1, 1])
+
+
+def _weight(x):
+    ng.validate_weights(triangle_directed(), [x, 1, 1, 1, 1, 1])
+
+
+def _demand(x):
+    ng.validate_demands(triangle_directed(), [x, 0, 0, 0, 0, 0])
+
+
+def _floored_weight(x):
+    ng.floor_weights([x, 1.0])
+
+
+def _path_entry(x):
+    # edge 0 is the link 0->1
+    ng.validate_path_vector(triangle_directed(), [x, 0, 0, 0, 0, 0], 0, 1)
+
+
+def _loads_demand(x):
+    # the first call stores its demands, which a bool or complex entry
+    # would equal
+    g = triangle_directed()
+    xr.link_loads(g, np.ones(6), np.eye(6)[0])
+    xr.link_loads(g, np.ones(6), [x, 0, 0, 0, 0, 0])
+
+
+_TINY_MODEL = sg.GnnModel.initialize(sg.GnnConfig(hidden=2, rounds=1), seed=0)
+
+
+def _indicator(x):
+    sg.forward(triangle_directed(), np.ones(6), [[[x, 0], [0, 1], [0, 0]]], _TINY_MODEL)
+
+
+def _tensor_entry(x):
+    dc.Tensor([x, 1.0])
+
+
+def _label(x):
+    dc.binary_cross_entropy(dc.Tensor([0.5, 0.5]), [x, 0.0])
+
+
+def _checkpoint_data(x):
+    doc = {
+        "format": sg.CHECKPOINT_FORMAT, "version": sg.CHECKPOINT_VERSION,
+        "node_feature_width": sg.NODE_FEATURES, "edge_feature_width": sg.EDGE_FEATURES,
+        "hidden": 2, "rounds": 1, "share_processor": False,
+        "params": {k: {"shape": list(v.shape), "data": v.ravel().tolist()} for k, v in _TINY_MODEL.params.items()},
+    }
+    doc["params"]["dec_l2_b"]["data"] = [x]
+    # the one check of a document, behind both save_checkpoint and
+    # load_checkpoint; JSON cannot carry a numpy scalar or a complex number
+    sg._model_from_document(doc)
+
+
+REAL_ENTRY_POINTS = [
+    _capacity, _weight, _demand, _floored_weight, _path_entry, _loads_demand,
+    _indicator, _tensor_entry, _label, _checkpoint_data,
+]
+
+
+@pytest.mark.parametrize("entry", REAL_ENTRY_POINTS, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize(
+    "x",
+    [True, np.True_, "1.5", 1 + 0j, np.complex128(1), None, [1.0]],
+    ids=["bool", "np_bool", "string", "complex", "np_complex128", "none", "ragged"],
+)
+def test_every_entry_point_rejects_the_same_non_reals(entry, x):
+    with pytest.raises(sg.CheckpointError if entry is _checkpoint_data else ng.GraphError):
+        entry(x)
+
+
+@pytest.mark.parametrize("entry", REAL_ENTRY_POINTS, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("x", [1, np.int32(1), np.float32(1.0)], ids=["int", "np_int32", "np_float32"])
+def test_every_entry_point_accepts_real_numbers(entry, x):
+    entry(x)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.array([True]), np.array([1 + 0j]), np.array(["1"]), np.array([1.0, None], dtype=object), [[1.0], [1.0, 2.0]]],
+    ids=["bool_array", "complex_array", "string_array", "object_none", "ragged_rows"],
+)
+def test_real_values_rejects_non_reals(values):
+    with pytest.raises(ng.GraphError):
+        ng.real_values(values, "values")
+
+
+def test_real_values_checks_the_shape():
+    assert ng.real_values([[1, 2]], "values", (1, 2)).shape == (1, 2)
+    with pytest.raises(ng.DimensionMismatchError, match=r"values has shape \(2,\), expected \(3,\)"):
+        ng.real_values([1.0, 2.0], "values", (3,))
+
+
+def test_real_values_returns_a_float64_array_as_it_is():
+    # validate_weights returns a view of the caller's weights, and
+    # GnnModel.tensors aliases the stored parameters, through this
+    values = np.array([[1.0, 2.0]])
+    assert ng.real_values(values, "values") is values
+    out = ng.real_values(np.array([1, 2], dtype=np.int32), "values")
+    assert out.dtype == np.float64 and out.tolist() == [1.0, 2.0]
+    assert ng.real_values(np.float32(0.5), "value").dtype == np.float64
+
+
 # Every size applies the one rule of ``netgraph.positive_integer``; each
 # entry names the size its errors name, and its call gives ``x`` as that
 # size and returns the size stored.
@@ -304,6 +413,18 @@ class TestDefaultWeights:
         g1 = ng.Graph(3, receivers=[1, 2, 0], senders=[0, 1, 2], capacities=caps)
         g2 = ng.Graph(3, receivers=[1, 2, 0], senders=[0, 1, 2], capacities=caps * 3.5)
         assert np.allclose(ng.default_ospf_weights(g1), ng.default_ospf_weights(g2))
+
+
+class TestFloorWeights:
+    def test_projects_onto_the_domain(self):
+        assert ng.floor_weights([0.0, 1.0, 2 * ng.W_MAX, -np.inf, np.inf]).tolist() == [
+            ng.W_MIN, 1.0, ng.W_MAX, ng.W_MIN, ng.W_MAX
+        ]
+
+    def test_nan_rejected(self):
+        # NaN has no nearest point in [W_MIN, W_MAX]; clipping passes it through
+        with pytest.raises(ng.GraphError):
+            ng.floor_weights([np.nan, 0.0])
 
 
 class TestUtilization:
