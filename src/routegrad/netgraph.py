@@ -164,7 +164,7 @@ def node_indices(values, n: int, what: str) -> np.ndarray:
     row indices pass this rule, ``n`` the rows gathered from or the
     segments summed into; the copy returned is the one its ops keep.
     """
-    raw = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    raw = _entries(values, f"{what} are not integer indices")
     if raw.dtype == object:
         # checked entry by entry: numpy reads ``[True, 1]`` as int64, and a
         # ragged entry is left as a sequence here
@@ -183,16 +183,17 @@ def real_values(values, what: str, shape: tuple | None = None) -> np.ndarray:
 
     ``values`` is a Python or numpy int or float, an integer or float
     array, or a nested sequence of such numbers.  A bool (Python or
-    numpy), a string, a complex number, None or a ragged entry raises
-    :class:`GraphError`: a cast would read ``True`` and ``"1"`` as 1.0
-    and drop a complex number's imaginary part.  When ``shape`` is given,
-    any other shape raises :class:`DimensionMismatchError`.  A float64
-    array comes back as the same object, not a copy: ``validate_weights``
-    returns a view of the caller's weights, and a ``diffcore.Tensor``
-    aliases the array it wraps.  Anything else comes back as a new array.
-    Ranges are left to the callers.
+    numpy), a string, a complex number, None, a ragged entry or an int
+    past the float range raises :class:`GraphError`: a cast would read
+    ``True`` and ``"1"`` as 1.0 and drop a complex number's imaginary
+    part.  When ``shape`` is given, any other shape raises
+    :class:`DimensionMismatchError`.  A float64 array comes back as the
+    same object, not a copy: ``validate_weights`` returns a view of the
+    caller's weights, and a ``diffcore.Tensor`` aliases the array it
+    wraps.  Anything else comes back as a new array.  Ranges are left to
+    the callers.
     """
-    raw = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    raw = _entries(values, f"{what} has an entry that is not a real number")
     if raw.dtype == object:
         # checked entry by entry: numpy reads ``[True, 0.5]`` as float64,
         # and a ragged entry is left as a sequence here
@@ -203,7 +204,25 @@ def real_values(values, what: str, shape: tuple | None = None) -> np.ndarray:
         raise GraphError(f"{what} has an entry that is not a real number")
     if shape is not None and raw.shape != shape:
         raise DimensionMismatchError(f"{what} has shape {raw.shape}, expected {shape}")
-    return np.asarray(raw, dtype=np.float64)
+    try:
+        return np.asarray(raw, dtype=np.float64)
+    except OverflowError:
+        raise GraphError(f"{what} has an integer past the float range") from None
+
+
+def _entries(values, error: str) -> np.ndarray:
+    """``values`` if it is an ndarray, else an object array of its entries.
+
+    numpy cannot lay some ragged nestings, arrays of unequal shapes among
+    them, into an object array; those raise :class:`GraphError` with the
+    message ``error``.
+    """
+    if isinstance(values, np.ndarray):
+        return values
+    try:
+        return np.array(values, dtype=object)
+    except ValueError:
+        raise GraphError(error) from None
 
 
 def build_graph(

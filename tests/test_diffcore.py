@@ -2,11 +2,13 @@ import contextlib
 import gc
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import types
 import weakref
 from pathlib import Path
 
@@ -465,12 +467,16 @@ class TestMapRows:
         _run_child("import threading, routegrad.surrogate\nassert threading.active_count() == 1")
 
 
-def _run_child(code: str) -> None:
-    """Runs ``code`` in a fresh interpreter that imports this ``routegrad``."""
+def _run_child(code: str, *paths: str) -> str:
+    """Runs ``code`` in a fresh interpreter that imports this ``routegrad``.
+
+    ``paths`` go on its import path after ``src``; returns what it printed.
+    """
     src = str(Path(dc.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, *paths, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 _NESTED_MAP_ROWS = """
@@ -499,6 +505,142 @@ nested = gradient(lambda pair: dc.map_rows(term, pair), [rows[:2], rows[2:4], ro
 flat = gradient(term, rows)
 assert all(np.allclose(a, b, rtol=1e-13, atol=1e-15) for a, b in zip(nested, flat))
 """
+
+# A child's first lines: every ctypes symbol lookup is recorded by name,
+# so the child sees whether diffcore looked up mallopt
+_WATCH_LOOKUPS = """
+import sys
+looked_up = []
+sys.addaudithook(lambda event, args: looked_up.append(args[1]) if event == "ctypes.dlsym" else None)
+"""
+
+_IMPORT_THEN_POOL = _WATCH_LOOKUPS + """
+import routegrad.surrogate
+from routegrad import diffcore as dc
+
+assert "mallopt" not in looked_up
+dc.POOL_WORKERS = 2
+dc.map_rows(lambda k: (dc.Tensor([[float(k)]]),), range(3))
+assert looked_up.count("mallopt") == 1, looked_up
+"""
+
+# the exact evaluator alone, as search_n50 runs it, on a ring of 12 nodes
+# with four chords
+_SEARCH_STARTS_NO_POOL = _WATCH_LOOKUPS + """
+import numpy as np
+from routegrad import diffcore as dc, exact_routing as xr, netgraph as ng
+
+n = 12
+ring = [(i, (i + 1) % n, 1.0 + i % 3, False) for i in range(n)]
+g = ng.build_graph(n, ring + [(i, (i + 5) % n, 2.5, False) for i in range(0, n, 3)])
+rng = np.random.default_rng(3)
+demands = rng.uniform(0.0, 1.0, g.pair_count)
+for w in rng.integers(1, 21, (20, g.edge_count)).astype(float):
+    xr.link_loads(g, w, demands)
+    xr.exact_max_utilization(g, w, demands)
+assert dc._pool is None
+assert "concurrent.futures" not in sys.modules
+assert "mallopt" not in looked_up, looked_up
+"""
+
+# minor page faults per pooled train_n24 step at two workers; STUBBED
+# (set on the line before) leaves each pool thread its own malloc arena
+_TRAIN_FAULTS = """
+import os
+import resource
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+from routegrad import diffcore as dc
+import workloads
+
+dc.POOL_WORKERS = 2
+if STUBBED:
+    dc._one_malloc_arena = lambda: None
+work = workloads.TrainN24(1)  # its warm-up step starts the pool
+work.step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(4):
+    work.step()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 4)
+"""
+
+
+class TestOneMallocArena:
+    """The pool's first start caps malloc at one arena (``dc._one_malloc_arena``)."""
+
+    _W0, _X0 = np.random.default_rng(7).normal(size=(6, 4)), np.random.default_rng(8).normal(size=(5, 4))
+    _ROWS = [np.array([0, 2, 4]), np.array([1]), np.array([3, 0, 2, 1]), np.array([4, 4])]
+
+    @staticmethod
+    def _fake_mallopt(monkeypatch) -> list:
+        """Replaces the C library; returns the list its ``mallopt`` records each call in.
+
+        A call records its arguments, its thread, the pool at that moment
+        and the threads started since this fake was installed.
+        """
+        calls, threads = [], set(threading.enumerate())
+
+        def mallopt(param, value):
+            calls.append(((param, value), threading.current_thread(), dc._pool, set(threading.enumerate()) - threads))
+            return 1
+
+        monkeypatch.setattr(dc, "_libc", lambda: types.SimpleNamespace(mallopt=mallopt))
+        return calls
+
+    def _pooled_gradients(self, monkeypatch, rows, times=1):
+        """The row-map gradient at two workers on a new pool, ``times`` over."""
+        monkeypatch.setattr(dc, "POOL_WORKERS", 2)
+        monkeypatch.setattr(dc, "_pool", None)
+        try:
+            return [TestMapRows._gradient(self._W0, self._X0, rows) for _ in range(times)]
+        finally:
+            if dc._pool is not None:
+                dc._pool.shutdown()
+
+    def test_first_pool_start_calls_mallopt_once_before_its_threads(self, monkeypatch):
+        calls = self._fake_mallopt(monkeypatch)
+        self._pooled_gradients(monkeypatch, self._ROWS, times=2)
+        assert dc._pool is not None
+        assert calls == [((-8, 1), threading.current_thread(), None, set())]
+
+    @pytest.mark.parametrize("workers, parts", [(1, 4), (2, 1)], ids=["one_worker", "one_job"])
+    def test_inline_run_calls_no_mallopt(self, monkeypatch, workers, parts):
+        calls = self._fake_mallopt(monkeypatch)
+        monkeypatch.setattr(dc, "POOL_WORKERS", workers)
+        monkeypatch.setattr(dc, "_pool", None)
+        TestMapRows._gradient(self._W0, self._X0, self._ROWS[:parts])
+        assert calls == [] and dc._pool is None
+
+    def test_pool_runs_where_libc_lacks_mallopt(self, monkeypatch):
+        monkeypatch.setattr(dc, "_libc", types.SimpleNamespace)
+        monkeypatch.setattr(dc, "POOL_WORKERS", 1)
+        inline = TestMapRows._gradient(self._W0, self._X0, self._ROWS)
+        (pooled,) = self._pooled_gradients(monkeypatch, self._ROWS)
+        assert dc._pool is not None
+        for a, b in zip(inline, pooled):
+            assert np.array_equal(a, b)
+
+    def test_import_calls_no_mallopt(self):
+        # the pooled map_rows after the import shows the child would see the call
+        _run_child(_IMPORT_THEN_POOL)
+
+    def test_search_starts_no_pool(self):
+        # search_n50 runs only netgraph and exact_routing, so its peak
+        # holds no pool threads, no concurrent.futures and no arena change
+        _run_child(_SEARCH_STARTS_NO_POOL)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt(M_ARENA_MAX) is glibc's")
+    def test_one_arena_cuts_train_step_page_faults(self):
+        # measured on 2 CPUs, glibc 2.36: about 21K faults per step with an
+        # arena per pool thread, 2.4-3.7K with one arena
+        perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+        shipped, stubbed = (
+            float(_run_child(f"STUBBED = {stub}\n" + _TRAIN_FAULTS, perfbench)) for stub in (False, True)
+        )
+        if stubbed < 8000:
+            pytest.skip(f"an arena per pool thread faults only {stubbed:.0f} times per step here")
+        assert shipped <= stubbed / 2, (shipped, stubbed)
 
 
 class TestLayerNormalize:

@@ -208,8 +208,11 @@ def test_every_entry_point_accepts_integer_indices(entry, x):
 
 @pytest.mark.parametrize(
     "values",
-    [[0, [1]], [[0, 1], [2]], ["1"], None, np.array([True, False]), np.array([1.0]), np.array([2**64 - 1], dtype=np.uint64)],
-    ids=["ragged", "ragged_rows", "string", "none", "bool_array", "float_array", "uint64_past_int64"],
+    [
+        [0, [1]], [[0, 1], [2]], [np.zeros((2, 2), int), np.zeros((2, 3), int)], ["1"], None,
+        np.array([True, False]), np.array([1.0]), np.array([2**64 - 1], dtype=np.uint64),
+    ],
+    ids=["ragged", "ragged_rows", "unequal_arrays", "string", "none", "bool_array", "float_array", "uint64_past_int64"],
 )
 def test_node_indices_rejects_non_indices(values):
     with pytest.raises(ng.GraphError):
@@ -297,8 +300,8 @@ REAL_ENTRY_POINTS = [
 @pytest.mark.parametrize("entry", REAL_ENTRY_POINTS, ids=lambda f: f.__name__.strip("_"))
 @pytest.mark.parametrize(
     "x",
-    [True, np.True_, "1.5", 1 + 0j, np.complex128(1), None, [1.0]],
-    ids=["bool", "np_bool", "string", "complex", "np_complex128", "none", "ragged"],
+    [True, np.True_, "1.5", 1 + 0j, np.complex128(1), None, [1.0], 10**400],
+    ids=["bool", "np_bool", "string", "complex", "np_complex128", "none", "ragged", "past_float"],
 )
 def test_every_entry_point_rejects_the_same_non_reals(entry, x):
     with pytest.raises(sg.CheckpointError if entry is _checkpoint_data else ng.GraphError):
@@ -313,8 +316,11 @@ def test_every_entry_point_accepts_real_numbers(entry, x):
 
 @pytest.mark.parametrize(
     "values",
-    [np.array([True]), np.array([1 + 0j]), np.array(["1"]), np.array([1.0, None], dtype=object), [[1.0], [1.0, 2.0]]],
-    ids=["bool_array", "complex_array", "string_array", "object_none", "ragged_rows"],
+    [
+        np.array([True]), np.array([1 + 0j]), np.array(["1"]), np.array([1.0, None], dtype=object),
+        [[1.0], [1.0, 2.0]], [np.zeros((2, 2)), np.zeros((2, 3))], [10**400],
+    ],
+    ids=["bool_array", "complex_array", "string_array", "object_none", "ragged_rows", "unequal_arrays", "past_float"],
 )
 def test_real_values_rejects_non_reals(values):
     with pytest.raises(ng.GraphError):
