@@ -18,16 +18,19 @@ inverse deviations, a quotient or matrix product an operand only when
 the other side needs its gradient, binary cross-entropy the clamped
 probabilities and the labels, and a row map (``map_rows``) its part
 tapes, their row ranges and the uids it seeds and reads the part tapes'
-gradients under.  The one dense kernel, behind ``affine_sum`` and both
-layers of the fused MLP block (``mlp_ln``), keeps its inputs only when
-its weights need a gradient and its weights only when an input does.
-So ``mlp_ln`` keeps what its unfused chain would: the standardized
-values, the inverse deviations and a ReLU mask packed eight entries to a
-byte, or the ReLU output in place of the mask when its second weights
-need a gradient.  An intermediate activation is therefore freed as soon
-as the forward pass drops it, and a batched-GNN gradient with fixed
-parameters retains about one f64 standardized value plus one mask bit
-per processed latent element, not the whole forward graph.  The
+gradients under.  The one dense kernel, behind ``affine_sum``, the
+fused dense-and-ReLU layer (``dense_relu``) and both layers of the fused
+MLP block (``mlp_ln``), keeps its inputs only when its weights need a
+gradient and its weights only when an input does.  So ``dense_relu``
+keeps what ``relu(affine(...))`` would, the kernel's operands and a ReLU
+mask packed eight entries to a byte, and ``mlp_ln`` keeps what its
+unfused chain would: the standardized values, the inverse deviations and
+a ReLU mask packed eight entries to a byte, or the ReLU output in place
+of the mask when its second weights need a gradient.  An intermediate
+activation is therefore freed as soon as the forward pass drops it, and
+a batched-GNN gradient with fixed parameters retains about one f64
+standardized value plus one mask bit per processed latent element, not
+the whole forward graph.  The
 exceptions are inputs a formula needs (``div`` keeps its divisor,
 ``soft_maximum`` its argument beside the exponentials) and views: a
 ``reshape`` output shares its input's buffer, so it keeps it alive for
@@ -44,8 +47,18 @@ pages back in: on two CPUs, about 21K minor faults and 0.035–0.05 s of
 sys time per ``train_n24`` step, against 2.4–3.7K faults with one arena,
 and a ``descent_n24`` peak that spread 297–335 MB with which thread ran
 which chunk, against about 294 MB.  So the first call that starts the
-pool caps the process at one arena (:func:`_one_malloc_arena`).  The cap
-holds for the whole process, not only for the pool.
+pool caps the process at one arena (:func:`_one_malloc_arena`).  With one
+arena, glibc's dynamic thresholds still trimmed the heap top once a
+step's tape was freed, and mapped the largest blocks on their own, so a
+warmed ``train_n24`` step faulted 3.3–4.6K pages back in and a
+``descent_n24`` step 3.8–6.1K.  So the same call also fixes the mmap
+threshold at its 64-bit maximum of 32 MiB and the trim threshold at
+1 GiB, and a step reuses the heap the previous step's tape freed: 3–8
+faults per ``train_n24`` step and 6–121 per ``descent_n24`` step.
+The two are set together: fixing either one alone turns off the dynamic
+mmap threshold and leaves the other at its 128 KiB default, and with the
+trim threshold alone a ``descent_n24`` step faulted over 600K pages.  These
+settings hold for the whole process, not only for the pool.
 
 The two objectives the weight optimizer and the surrogate's training
 descend, the temperature-weighted soft maximum and binary cross-entropy,
@@ -484,8 +497,17 @@ else:
     POOL_WORKERS = os.cpu_count() or 1
 _pool = None
 _pool_lock = threading.Lock()
-# glibc's mallopt parameter for the most malloc arenas a process keeps
+# glibc's mallopt parameters: the most malloc arenas a process keeps, the
+# request size from which malloc maps a block of its own, and the free
+# space at the heap top past which free returns it to the system
 M_ARENA_MAX = -8
+M_MMAP_THRESHOLD = -3
+M_TRIM_THRESHOLD = -1
+# the largest mmap threshold glibc accepts on a 64-bit host, and a trim
+# threshold above the free space a step leaves at the heap top (the
+# descent_n24 tape alone holds about 230 MB)
+MMAP_THRESHOLD = 32 * 2**20
+TRIM_THRESHOLD = 2**30
 
 
 def _mark_pool_thread() -> None:
@@ -500,18 +522,29 @@ def _libc():
 
 
 def _one_malloc_arena() -> None:
-    """Caps the process at one malloc arena, through glibc's ``mallopt``.
+    """Caps the process at one malloc arena and keeps its heap, through
+    glibc's ``mallopt``.
 
     Every thread that has not yet allocated then allocates from the
-    arena the calling thread uses (the module docstring says why).  A
-    thread's arena is fixed by its first allocation, so this runs before
-    the pool's threads exist.  The setting holds for the whole process,
-    not only the pool.  Where the C library has no ``mallopt`` (musl,
-    macOS), this does nothing.
+    arena the calling thread uses, blocks up to :data:`MMAP_THRESHOLD`
+    come from that arena's heap, and the heap top is returned to the
+    system only past :data:`TRIM_THRESHOLD` of free space (the module
+    docstring says why).  A thread's arena is fixed by its first
+    allocation, so this runs before the pool's threads exist.  The
+    settings hold for the whole process, not only the pool.  Where the C
+    library has no ``mallopt`` (musl, macOS), this does nothing.
     """
+    import ctypes
+
     mallopt = getattr(_libc(), "mallopt", None)
     if mallopt is not None:
+        # int mallopt(int param, int value)
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(M_ARENA_MAX, 1)
+        # both thresholds together: fixing either one alone turns off
+        # glibc's dynamic mmap threshold and leaves the other at its default
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def _pool_map(run, jobs):
@@ -722,6 +755,41 @@ def relu(x) -> Tensor:
         return lambda g: [g * _unpack_mask(packed, size).reshape(shape)]
 
     return _finish(data, [x], backward)
+
+
+def dense_relu(x, weights, bias) -> Tensor:
+    """Dense layer then ReLU, as one op: ``relu(affine(x, weights, bias))``.
+
+    Args:
+        x: ``[..., n_in]``.
+        weights: ``[n_out, n_in]``; ``bias``: ``[n_out]``.
+
+    The dense kernel (:func:`_dense`), with the ReLU run in place on its
+    output, so the values and every gradient are bit for bit the unfused
+    pair's.  The backward keeps the ReLU mask packed eight entries to a
+    byte, as :func:`relu` does, and the kernel's operands as
+    :func:`affine` does.
+    """
+    x, weights, bias = as_tensor(x), as_tensor(weights), as_tensor(bias)
+    _check_dense("dense_relu", [x.shape[-1]], weights, bias)
+    z = _dense([(x.data, None)], weights.data, bias.data)
+    np.maximum(z, 0.0, out=z)
+
+    def backward(out, want):
+        terms = [(x.shape, None)]
+        w_data = weights.data if want[0] else None
+        saved = [x.data] if want[1] else None
+        packed = _pack_mask(z > 0.0)
+
+        def run(g):
+            # a new array: ``g`` may be another input's gradient too
+            gz = g * _unpack_mask(packed, g.shape[-1])
+            del g
+            return _dense_backward(gz, terms, w_data, saved, want)
+
+        return run
+
+    return _finish(z, [x, weights, bias], backward)
 
 
 def sigmoid(x) -> Tensor:
@@ -1020,7 +1088,8 @@ def binary_cross_entropy(p, labels) -> Tensor:
     predictions yield a large finite loss instead of infinity; the
     gradient is zero where the clamp binds.  A label outside ``[0, 1]``,
     or NaN, raises :class:`DiffcoreError`: it would give a loss below zero
-    or a NaN one.
+    or a NaN one.  An empty batch raises :class:`EmptyVectorError`: its
+    mean is NaN.
 
     One op: with ``pc`` the clamped probabilities and ``gm = -g / size``
     per entry, the backward is ``-(gm * (1 - y) / (1 - pc)) + gm * y / pc``,
@@ -1032,6 +1101,8 @@ def binary_cross_entropy(p, labels) -> Tensor:
     y = real_values(labels.data if isinstance(labels, Tensor) else labels, "labels")
     if y.shape != p.shape:
         raise ShapeMismatchError(f"labels shape {y.shape} vs predictions {p.shape}")
+    if p.size == 0:
+        raise EmptyVectorError("binary_cross_entropy of an empty batch")
     if not np.all((y >= 0.0) & (y <= 1.0)):
         raise DiffcoreError("binary_cross_entropy: labels must lie in [0, 1], and none be NaN")
     lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
@@ -1082,21 +1153,36 @@ def adam_step(state: AdamState, params: dict, grads: dict, lr: float) -> tuple[A
 
     The moment decays are :data:`ADAM_BETA1` and :data:`ADAM_BETA2`, and
     :data:`ADAM_EPS` is added to the root of the second moment.  Every
-    parameter's gradient and moments are checked before anything is
-    written: a missing or misshapen one raises
-    :class:`ShapeMismatchError` and leaves ``state`` and ``params`` as
-    they were.
+    input is checked before anything is written, and a call that raises
+    leaves ``state`` and ``params`` as they were.
+
+    Raises:
+        ShapeMismatchError: a gradient or a moment is missing, or its
+            shape is not its parameter's.
+        netgraph.GraphError: ``lr`` or a gradient fails
+            :func:`netgraph.real_values`, or ``lr`` is not one number.
+        DiffcoreError: a gradient has a NaN or an infinite entry, which
+            would reach the parameter and both moments, or ``lr`` is not
+            finite and positive.
     """
+    lr = float(real_values(lr, "adam_step: learning rate", ()))
+    if not 0.0 < lr < np.inf:
+        raise DiffcoreError(f"adam_step: the learning rate must be finite and positive, got {lr}")
+    checked = {}
     for name, p in params.items():
-        shapes = [x[name].shape if name in x else None for x in (grads, state.m, state.v)]
+        g = real_values(grads[name], f"adam_step: gradient of {name!r}") if name in grads else None
+        shapes = [None if x is None else x.shape for x in (g, state.m.get(name), state.v.get(name))]
         if shapes != [p.shape] * 3:
             raise ShapeMismatchError(f"grad and moment shapes {shapes} vs param {p.shape} for {name!r}")
+        if not np.isfinite(g).all():
+            raise DiffcoreError(f"adam_step: the gradient of {name!r} has a NaN or an infinite entry")
+        checked[name] = g
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
-        g = grads[name]
+        g = checked[name]
         m = state.m[name]
         v = state.v[name]
         m *= ADAM_BETA1

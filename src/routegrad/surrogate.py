@@ -12,10 +12,11 @@ most :data:`QUERY_BLOCK_BYTES`, a size that weighs the interpreter-lock
 handoff each numpy call pays on a pool thread against the thread's own
 L2 cache.  The chunk layout follows from the inputs alone, never from
 the host's CPU count, so every output and gradient is the same bit for
-bit on any host.  It runs the chunks' message passing on the
-``diffcore`` pool and decodes each chunk on the calling thread, in chunk
-order; on a tape, each chunk records on a tape of its own, and the
-reverse pass pulls the chunks back on the pool.
+bit on any host.  Each chunk's message passing and its decoder's hidden
+layer run on a ``diffcore`` pool thread; the decoder's one-unit head,
+its sigmoid, runs on the calling thread, chunk by chunk in chunk order.
+On a tape, each chunk records on a tape of its own, and the reverse pass
+pulls the chunks back on the pool.
 
 Architecture: node features ``[I(u=i), I(v=i)]`` and edge features
 ``[w_k]`` are encoded independently by 2-layer MLPs, each followed by
@@ -33,8 +34,9 @@ first-layer terms, the gathers and the node update's sum over incoming
 links included, are summed in place inside it, its backward is written
 by hand, and the tape holds one record per block instead of one per
 element-wise step.  A shared decoder MLP with a sigmoid head reads edge
-latents; during training it is applied after every block so each block
-learns to refine the previous one's prediction.
+latents; its hidden layer is one fused :func:`diffcore.dense_relu` op.
+During training it is applied after every block so each block learns to
+refine the previous one's prediction.
 """
 
 from __future__ import annotations
@@ -176,9 +178,10 @@ def _mlp_ln(terms, mt, prefix):
     return dc.mlp_ln(terms, *(mt[f"{prefix}_{name}"] for name in names))
 
 
-def _decode(edges, mt) -> dc.Tensor:
-    h = dc.relu(dc.affine(edges, mt["dec_l1_w"], mt["dec_l1_b"]))
-    p = dc.sigmoid(dc.affine(h, mt["dec_l2_w"], mt["dec_l2_b"]))
+def _decode(hidden, mt) -> dc.Tensor:
+    """The decoder's one-unit head over its hidden activation ``[..., H]``:
+    the edge probabilities ``[...]``."""
+    p = dc.sigmoid(dc.affine(hidden, mt["dec_l2_w"], mt["dec_l2_b"]))
     return dc.reshape(p, p.shape[:-1])
 
 
@@ -242,13 +245,14 @@ def forward(
     its handoff between the pool threads.  The layout depends on the
     query count, the graph and the width alone, not on the pool's size,
     so the chunks' gradients are summed in the same order, and agree bit
-    for bit, on any host.  :func:`diffcore.map_rows` joins the chunks: their
-    message passing runs in parallel on the pool and their decoder on the
-    calling thread, in chunk order, and on a tape they are pulled back in
-    parallel, into whatever tracked tensors the chunks read (the shared
-    edge block, and the parameters when they are tracked).  Queries do
-    not interact, so each row is the one a single batch of every query
-    gives.
+    for bit, on any host.  :func:`diffcore.map_rows` joins the chunks:
+    their message passing and their decoder's hidden layer run in parallel
+    on the pool, and the decoder's one-unit head, the sigmoid and the
+    reshape on the calling thread, in chunk order.  On a tape they are
+    pulled back in parallel, into whatever tracked tensors the chunks read
+    (the shared edge block, and the parameters when they are tracked).
+    Queries do not interact, so each row is the one a single batch of
+    every query gives.
 
     Raises:
         GraphError: ``weights`` is not ``[n_e]`` or has a value outside
@@ -273,24 +277,27 @@ def forward(
     outs = dc.map_rows(
         lambda rows: _forward_chunk(g, edges, rows, model, mt, per_step),
         np.array_split(ind, chunks),
-        lambda blocks: tuple(_decode(block, mt) for block in blocks),
+        lambda hidden: tuple(_decode(h, mt) for h in hidden),
     )
     return outs[-1], (list(outs) if per_step else [])
 
 
 def _forward_chunk(g: Graph, edges, indicators: np.ndarray, model: GnnModel, mt, per_step: bool) -> tuple:
-    """The edge blocks of one query chunk the decoder reads: every round's
-    when ``per_step``, else the last round's.
+    """The decoder's hidden activations ``[chunk, n_e, H]`` of one query
+    chunk: every round's when ``per_step``, else the last round's.
 
     ``edges`` is the encoded ``[1, n_e, H]`` link block all chunks share.
     This runs on a pool thread, so every op here is one
     :func:`diffcore.mlp_ln`, the sum of each node's incoming edge latents
-    included: the benchmark's span tracer (``perfbench/spans.py``) keeps
-    one stack of open spans for the process, so each op it traces must
-    run on the calling thread, and it does not trace ``mlp_ln``.
+    included, or the decoder's hidden layer, one
+    :func:`diffcore.dense_relu`: the benchmark's span tracer
+    (``perfbench/spans.py``) keeps one stack of open spans for the
+    process, so each op it traces must run on the calling thread, and it
+    traces neither of these two.  The decoder's one-unit head runs in
+    :func:`forward`, on the calling thread.
     """
     nodes = _mlp_ln([(dc.Tensor(indicators), None)], mt, "enc_node")
-    blocks = []
+    hidden = []
     rounds = model.config.rounds
     for t in range(rounds):
         last = t == rounds - 1
@@ -300,8 +307,8 @@ def _forward_chunk(g: Graph, edges, indicators: np.ndarray, model: GnnModel, mt,
         if not last:
             nodes = _mlp_ln([(edges, g.receivers, g.node_count), (nodes, None)], mt, f"{prefix}_node")
         if per_step or last:
-            blocks.append(edges)
-    return tuple(blocks)
+            hidden.append(dc.dense_relu(edges, mt["dec_l1_w"], mt["dec_l1_b"]))
+    return tuple(hidden)
 
 
 def predict_all_pairs(model: GnnModel, g: Graph, weights) -> dc.Tensor:

@@ -101,9 +101,10 @@ def test_traced_train_step_runs_and_restores_originals():
 
 def test_traced_descent_step_runs(monkeypatch):
     # the tracer keeps one stack of open spans, so every traced call must
-    # run on the calling thread.  The chunks' message passing runs on the
-    # pool, and so do their pullbacks, but neither calls a traced op; the
-    # decoder runs once per chunk on the calling thread, one sigmoid each.
+    # run on the calling thread.  The chunks' message passing and the
+    # decoder's hidden layer run on the pool, and so do their pullbacks,
+    # but none calls a traced op; the decoder's one-unit head runs once
+    # per chunk on the calling thread, one sigmoid each.
     work = workloads.DescentN24(1)
     chunks = []
     forward_chunk = surrogate._forward_chunk

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import itertools
 import math
 import os
 import platform
@@ -9,6 +10,7 @@ import threading
 import time
 import tracemalloc
 import types
+import warnings
 import weakref
 from pathlib import Path
 
@@ -599,10 +601,19 @@ class TestOneMallocArena:
                 dc._pool.shutdown()
 
     def test_first_pool_start_calls_mallopt_once_before_its_threads(self, monkeypatch):
+        # once for the whole process: the one-arena cap (M_ARENA_MAX), then
+        # the mmap threshold (M_MMAP_THRESHOLD) at 32 MiB and the trim
+        # threshold (M_TRIM_THRESHOLD) at 1 GiB, all on the calling thread
+        # before the pool exists; the second gradient calls none
         calls = self._fake_mallopt(monkeypatch)
         self._pooled_gradients(monkeypatch, self._ROWS, times=2)
         assert dc._pool is not None
-        assert calls == [((-8, 1), threading.current_thread(), None, set())]
+        me = threading.current_thread()
+        assert calls == [
+            ((-8, 1), me, None, set()),
+            ((-3, 32 * 2**20), me, None, set()),
+            ((-1, 2**30), me, None, set()),
+        ]
 
     @pytest.mark.parametrize("workers, parts", [(1, 4), (2, 1)], ids=["one_worker", "one_job"])
     def test_inline_run_calls_no_mallopt(self, monkeypatch, workers, parts):
@@ -641,6 +652,16 @@ class TestOneMallocArena:
         if stubbed < 8000:
             pytest.skip(f"an arena per pool thread faults only {stubbed:.0f} times per step here")
         assert shipped <= stubbed / 2, (shipped, stubbed)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt's mmap and trim thresholds are glibc's")
+    def test_warmed_train_step_reuses_its_heap(self):
+        # measured on 2 CPUs, glibc 2.36: 3-8 faults per warmed step with
+        # both thresholds fixed; 3.3-4.6K with glibc's dynamic ones,
+        # 4.4-4.9K with the mmap threshold alone and 9.7-15K with the trim
+        # threshold alone, so dropping either one fails this
+        perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+        faults = float(_run_child("STUBBED = False\n" + _TRAIN_FAULTS, perfbench))
+        assert faults <= 300, faults
 
 
 class TestLayerNormalize:
@@ -857,6 +878,89 @@ class TestMlpLn:
                 dc.mlp_ln(*args)
 
 
+def dense_relu_case(seed):
+    """``[2, 5, 4]`` inputs, ``[3, 4]`` weights and a ``[3]`` bias; the
+    first input row is zero and the bias' middle entry too, so some of
+    the layer's outputs are exactly 0 before the ReLU."""
+    rng = np.random.default_rng(seed)
+    x, w, b = rng.normal(size=(2, 5, 4)), rng.normal(size=(3, 4)), rng.normal(size=3)
+    x[0, 0] = 0.0
+    b[1] = 0.0
+    return [x, w, b]
+
+
+class TestDenseRelu:
+    @pytest.mark.parametrize(
+        "tracked",
+        list(itertools.product([False, True], repeat=3))[1:],
+        ids=lambda flags: "+".join(name for name, f in zip(["x", "w", "b"], flags) if f),
+    )
+    def test_bitwise_equals_relu_of_affine_for_every_tracked_subset(self, tracked):
+        # the forward and every gradient, to the bit (a -0.0 included), for
+        # each subset of tracked inputs, and each gradient the one every
+        # input tracked gives
+        arrays = dense_relu_case(33)
+        assert np.any(dc.affine(*arrays).data == 0.0)
+
+        def run(op, flags):
+            tensors = [dc.Tensor(a, requires_grad=f) for a, f in zip(arrays, flags)]
+            with dc.Tape() as tape:
+                y = op(*tensors)
+                out = _weighted_total(y)
+            return [y.data] + tape.gradient(out, [t for t in tensors if t.requires_grad])
+
+        def unfused(x, w, b):
+            return dc.relu(dc.affine(x, w, b))
+
+        fused = run(dc.dense_relu, tracked)
+        assert [a.tobytes() for a in fused] == [a.tobytes() for a in run(unfused, tracked)]
+        every = run(dc.dense_relu, [True] * 3)
+        assert [every[0].tobytes()] + [every[1 + i].tobytes() for i in np.flatnonzero(tracked)] == [
+            a.tobytes() for a in fused
+        ]
+
+    def test_every_gradient_matches_fd(self):
+        # away from the kink: every output before the ReLU is far from 0
+        # next to the step
+        rng = np.random.default_rng(34)
+        arrays = [rng.normal(size=(2, 5, 4)), rng.normal(size=(3, 4)), rng.normal(size=3)]
+        assert np.min(np.abs(dc.affine(*arrays).data)) > 1e-3
+        weights = np.cos(np.arange(2 * 5 * 3.0))
+        for i in range(3):
+
+            def f(t, i=i):
+                args = [dc.Tensor(a) for a in arrays]
+                args[i] = t
+                return total(dc.dense_relu(*args), weights)
+
+            err = finite_difference_check(f, arrays[i])
+            assert err < 1e-6, f"input {i}: rel err {err}"
+
+    def test_tape_keeps_a_packed_mask(self):
+        # with fixed parameters: the weights and the ReLU mask packed into
+        # one uint8 of ceil(3 / 8) bytes per row of the 3 units, no boolean
+        # mask and no input or output activation
+        x, w, b = dense_relu_case(35)
+        with dc.Tape() as tape:
+            dc.dense_relu(dc.Tensor(x, requires_grad=True), w, b)
+        (_, _, run), = tape._ops
+        kept = [c.cell_contents for c in run.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert sorted((a.dtype.str, a.shape) for a in kept) == sorted([("|u1", (2, 5, 1)), ("<f8", (3, 4))])
+
+    def test_shape_mismatch(self):
+        x, w, b = [dc.Tensor(a) for a in dense_relu_case(36)]
+        bad = [
+            (x, dc.Tensor(w.data[:, :3]), b),
+            (x, dc.Tensor(w.data.reshape(-1)), b),
+            (x, w, dc.Tensor(b.data[:2])),
+            (x, w, dc.Tensor(b.data.reshape(1, 3))),
+            (dc.Tensor(x.data[..., :3]), w, b),
+        ]
+        for args in bad:
+            with pytest.raises(dc.ShapeMismatchError):
+                dc.dense_relu(*args)
+
+
 class TestSigmoid:
     def test_midpoint(self):
         assert dc.sigmoid(dc.Tensor([0.0])).data.tolist() == [0.5]
@@ -971,6 +1075,14 @@ class TestBinaryCrossEntropy:
         # a label above 1 makes the loss negative, and a NaN one makes it NaN
         with pytest.raises(dc.DiffcoreError, match="labels"):
             dc.binary_cross_entropy(dc.Tensor([0.9, 0.9, 0.9]), np.array([0.0, 1.0, bad]))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+    def test_empty_batch_rejected(self, shape):
+        # its mean would be NaN, with numpy's "Mean of empty slice" warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(dc.EmptyVectorError):
+                dc.binary_cross_entropy(dc.Tensor(np.zeros(shape)), np.zeros(shape))
 
     def test_bitwise_equals_element_wise_chain(self):
         # entries at and beyond both clamps get a zero gradient
@@ -1291,6 +1403,48 @@ class TestAdam:
             dc.adam_step(state, params, grads, lr=0.1)
         assert [state.step] + [d[k].tobytes() for d in (params, state.m, state.v) for k in params] == before
 
+    @pytest.mark.parametrize(
+        "grads, lr, error",
+        [
+            ({"a": np.ones(2), "b": np.array([np.nan])}, 0.1, dc.DiffcoreError),
+            ({"a": np.ones(2), "b": np.array([-np.inf])}, 0.1, dc.DiffcoreError),
+            ({"a": np.ones(2), "b": np.ones(1)}, np.nan, dc.DiffcoreError),
+            ({"a": np.ones(2), "b": np.ones(1)}, np.inf, dc.DiffcoreError),
+            ({"a": np.ones(2), "b": np.ones(1)}, 0.0, dc.DiffcoreError),
+            ({"a": np.ones(2), "b": np.ones(1)}, -0.1, dc.DiffcoreError),
+            ({"a": np.ones(2), "b": np.ones(1)}, [0.1], GraphError),
+            ({"a": np.ones(2), "b": np.ones(1)}, True, GraphError),
+            ({"a": np.ones(2), "b": [[1.0], [1.0, 2.0]]}, 0.1, GraphError),
+            ({"a": np.ones(2), "b": ["x"]}, 0.1, GraphError),
+            ({"a": np.ones(2), "b": np.array([True])}, 0.1, GraphError),
+        ],
+        ids=[
+            "nan_gradient", "inf_gradient", "nan_lr", "inf_lr", "zero_lr", "negative_lr", "list_lr",
+            "bool_lr", "ragged_list_gradient", "string_list_gradient", "bool_gradient",
+        ],
+    )
+    def test_bad_gradient_or_rate_writes_nothing(self, grads, lr, error):
+        # the bad entry is on "b", after "a", so a check made while
+        # updating would already have moved "a" and its moments
+        params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0])}
+        state = dc.AdamState.for_params(params)
+        dc.adam_step(state, params, {"a": np.array([0.5, -1.0]), "b": np.array([2.0])}, lr=0.1)
+        before = [state.step] + [d[k].tobytes() for d in (params, state.m, state.v) for k in params]
+        with pytest.raises(error):
+            dc.adam_step(state, params, grads, lr=lr)
+        assert [state.step] + [d[k].tobytes() for d in (params, state.m, state.v) for k in params] == before
+
+    def test_list_gradient_steps_as_its_array(self):
+        # a gradient passes netgraph.real_values, so a nested list of
+        # numbers is read as the float64 array of its entries
+        steps = []
+        for g in ([[0.5, -1.0]], np.array([[0.5, -1.0]])):
+            params = {"w": np.array([[1.0, 2.0]])}
+            state = dc.AdamState.for_params(params)
+            dc.adam_step(state, params, {"w": g}, lr=0.1)
+            steps.append([params["w"].tobytes(), state.m["w"].tobytes(), state.v["w"].tobytes()])
+        assert steps[0] == steps[1]
+
 
 class TestFiniteDifferenceCheck:
     def test_quadratic_is_nearly_exact(self):
@@ -1395,6 +1549,7 @@ _LABELS = (_RNG.random((3, 4)) < 0.5).astype(float)
 # other operand is a constant, so the op must not keep ``h.data`` alive
 UNREAD_INPUT_OPS = [
     ("relu", dc.relu),
+    ("dense_relu", lambda h: dc.dense_relu(h, dc.Tensor(_W), dc.Tensor(_W[:, 0]))),
     ("sigmoid", dc.sigmoid),
     ("layer_normalize", lambda h: dc.layer_normalize(h, dc.Tensor(_POS[0]), dc.Tensor(_C[0]))),
     ("affine", lambda h: dc.affine(h, dc.Tensor(_W), dc.Tensor(_W[:, 0]))),

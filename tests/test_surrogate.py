@@ -574,7 +574,8 @@ class TestForwardChunks:
         # parameter gradients are the inline ones bit for bit.  4 workers
         # outnumber the cores of a 2-CPU host, and a short switch interval
         # interleaves the chunks as finely as it can.  The message passing
-        # runs on the pool and the decoder on the calling thread.
+        # and the decoder's hidden layer run on the pool, and the decoder's
+        # sigmoid head on the calling thread.
         g = chorded_ring()
         model = offset_model(sg.GnnConfig(hidden=8, rounds=3), seed=4)
         d = np.random.default_rng(5).uniform(0.0, 1.0, g.pair_count)
@@ -582,11 +583,15 @@ class TestForwardChunks:
         block = queries * g.edge_count * model.config.hidden * 8
 
         def run(threads):
-            body, sigmoid = sg._forward_chunk, dc.sigmoid
+            body, dense_relu, sigmoid = sg._forward_chunk, dc.dense_relu, dc.sigmoid
 
             def chunk(*args):
                 threads.append(("chunk", threading.get_ident()))
                 return body(*args)
+
+            def hidden(*args):
+                threads.append(("hidden", threading.get_ident()))
+                return dense_relu(*args)
 
             def decode(x):
                 threads.append(("decode", threading.get_ident()))
@@ -595,6 +600,7 @@ class TestForwardChunks:
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(sg, "QUERY_BLOCK_BYTES", block)
                 m.setattr(sg, "_forward_chunk", chunk)
+                m.setattr(dc, "dense_relu", hidden)
                 m.setattr(dc, "sigmoid", decode)
                 wt = dc.Tensor(batch[0], requires_grad=True)
                 with dc.Tape() as tape:
@@ -620,7 +626,12 @@ class TestForwardChunks:
         pairs_chunks, batch_chunks = chunks
         ran = [t for what, t in threads if what == "chunk"]
         assert len(ran) == pairs_chunks + batch_chunks and me not in ran
-        assert [t for what, t in threads if what == "decode"] == [me] * (pairs_chunks + batch_chunks * 3)
+        # one hidden layer and one sigmoid per decoded round of a chunk:
+        # the last round's for P, each of the 3 rounds' in training
+        decoded = pairs_chunks + batch_chunks * 3
+        layers = [t for what, t in threads if what == "hidden"]
+        assert len(layers) == decoded and set(layers) <= set(ran)
+        assert [t for what, t in threads if what == "decode"] == [me] * decoded
 
     def test_edge_encoder_runs_once_per_forward(self, monkeypatch):
         # it reads the weights alone, so every chunk shares its one block
