@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netgraph import node_indices, real_values
+from .netgraph import node_indices, positive_integer, real_values
 
 
 class DiffcoreError(ValueError):
@@ -366,7 +366,10 @@ def div(a, b) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    data = a.data.reshape(shape)
+    try:
+        data = a.data.reshape(shape)
+    except ValueError:
+        raise ShapeMismatchError(f"reshape: cannot take shape {a.shape} to {shape}") from None
 
     def backward(out, want):
         orig = a.shape
@@ -897,6 +900,29 @@ def _scatter_add(x: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
     return onehot @ x
 
 
+def _row_index(op: str, x: Tensor, idx, *n_segments) -> np.ndarray:
+    """The one rule for the row indices of ``op``: ``idx`` as the copy it keeps.
+
+    ``x`` has rows (at least two axes), and ``idx`` passes
+    :func:`netgraph.node_indices`.  With no ``n_segments``, ``op`` gathers
+    rows of ``x``, and ``idx`` is one axis of indices against them.  With
+    ``n_segments``, ``op`` sums the rows of ``x`` into that many buckets:
+    the count passes :func:`netgraph.positive_integer`, and ``idx`` holds
+    one index per row of ``x`` against it.
+    """
+    if x.ndim < 2:
+        raise ShapeMismatchError(f"{op}: the input needs rows, got shape {x.shape}")
+    if not n_segments:
+        idx = node_indices(idx, x.shape[-2], f"{op}: row indices")
+        if idx.ndim != 1:
+            raise ShapeMismatchError(f"{op}: row indices of shape {idx.shape}, expected one axis")
+        return idx
+    idx = node_indices(idx, positive_integer(*n_segments, f"{op}: the bucket count"), f"{op}: segment indices")
+    if idx.shape != (x.shape[-2],):
+        raise ShapeMismatchError(f"{op}: segment index length {idx.shape} vs rows {x.shape[-2]}")
+    return idx
+
+
 def index_rows(x, idx) -> Tensor:
     """Row gather along axis -2: ``out[..., j, :] = x[..., idx[j], :]``.
 
@@ -904,11 +930,7 @@ def index_rows(x, idx) -> Tensor:
     pass :func:`netgraph.node_indices` against the rows of ``x``.
     """
     x = as_tensor(x)
-    if x.ndim < 2:
-        raise ShapeMismatchError(f"index_rows: the input needs rows, got shape {x.shape}")
-    idx = node_indices(idx, x.shape[-2], "index_rows: row indices")
-    if idx.ndim != 1:
-        raise ShapeMismatchError(f"index_rows: row indices of shape {idx.shape}, expected one axis")
+    idx = _row_index("index_rows", x, idx)
     data = np.take(x.data, idx, axis=-2)
 
     def backward(out, want):
@@ -922,15 +944,12 @@ def segment_sum(x, idx, n_segments: int) -> Tensor:
     """Sums rows of ``x`` (axis -2) into ``n_segments`` buckets by ``idx``.
 
     Buckets receiving no rows are zero vectors.  ``x`` has at least two
-    axes, and ``idx`` holds one index per row of it that passes
+    axes, ``n_segments`` passes :func:`netgraph.positive_integer`, and
+    ``idx`` holds one index per row of ``x`` that passes
     :func:`netgraph.node_indices` against ``n_segments``.
     """
     x = as_tensor(x)
-    if x.ndim < 2:
-        raise ShapeMismatchError(f"segment_sum: the input needs rows, got shape {x.shape}")
-    idx = node_indices(idx, n_segments, "segment_sum: segment indices")
-    if idx.shape != (x.shape[-2],):
-        raise ShapeMismatchError(f"segment_sum: idx length {idx.shape} vs rows {x.shape[-2]}")
+    idx = _row_index("segment_sum", x, idx, n_segments)
     data = _scatter_add(x.data, idx, n_segments)
 
     def backward(out, want):
@@ -959,8 +978,9 @@ def mlp_ln(terms, w1, b1, w2, b2, gain, bias) -> Tensor:
             :func:`segment_sum` does, and a summed term is added with the
             ones that have no ``idx``.  Every ``idx`` is one axis of
             indices that pass :func:`netgraph.node_indices` against the
-            rows it gathers or the buckets it sums into, and the ``x`` of
-            such a term has rows.  The terms may broadcast
+            rows it gathers or the buckets it sums into, every
+            ``n_segments`` passes :func:`netgraph.positive_integer`, and
+            the ``x`` of such a term has rows.  The terms may broadcast
             against each other over leading axes.
         w1: ``[n_hidden, sum n_i]``; ``b1``: ``[n_hidden]``.
         w2: ``[n_out, n_hidden]``; ``b2``, ``gain``, ``bias``: ``[n_out]``.
@@ -975,22 +995,10 @@ def mlp_ln(terms, w1, b1, w2, b2, gain, bias) -> Tensor:
     # per term: its segment index or None, and its input to the kernel
     segments, kernel = [], []
     for x, idx, *n_segments in terms:
-        if idx is not None and x.ndim < 2:
-            raise ShapeMismatchError(f"mlp_ln: a gathered or summed term needs rows, got shape {x.shape}")
-        if n_segments:
-            (n,) = n_segments
-            idx = node_indices(idx, n, "mlp_ln: segment indices")
-            if idx.shape != (x.shape[-2],):
-                raise ShapeMismatchError(f"mlp_ln: segment index length {idx.shape} vs rows {x.shape[-2]}")
-            segments.append(idx)
-            kernel.append((_scatter_add(x.data, idx, n), None))
-        else:
-            if idx is not None:
-                idx = node_indices(idx, x.shape[-2], "mlp_ln: row indices")
-                if idx.ndim != 1:
-                    raise ShapeMismatchError(f"mlp_ln: row indices of shape {idx.shape}, expected one axis")
-            segments.append(None)
-            kernel.append((x.data, idx))
+        if idx is not None or n_segments:
+            idx = _row_index("mlp_ln", x, idx, *n_segments)
+        segments.append(idx if n_segments else None)
+        kernel.append((_scatter_add(x.data, idx, *n_segments), None) if n_segments else (x.data, idx))
     _check_dense("mlp_ln", [x.shape[-1] for x, _ in kernel], w1, b1)
     _check_dense("mlp_ln", [w1.shape[0]], w2, b2)
     _check_norm_params("mlp_ln", w2.shape[0], gain, bias)
@@ -1042,6 +1050,9 @@ def soft_maximum(x, tau: float) -> Tensor:
     ``sum_i x_i * exp(x_i / tau) / sum_j exp(x_j / tau)``, evaluated with
     max-subtraction so large ``x / tau`` ratios cannot overflow.  Equals
     the mean for large tau and approaches the hard maximum as tau -> 0+.
+    ``tau`` is one number that passes :func:`netgraph.real_values`; NaN,
+    or a value at or below zero, raises
+    :class:`NonPositiveTemperatureError`, and ``inf`` gives the mean.
 
     One op: with ``e`` the shifted exponentials, ``num = sum(x * e)`` and
     ``den = sum(e)``, the backward is ``gn * e + (gd + gn * x) * e / tau``
@@ -1057,6 +1068,7 @@ def soft_maximum(x, tau: float) -> Tensor:
     # entry gives NaN without a warning
     if not np.all(np.isfinite(x.data)):
         raise DiffcoreError("soft_maximum of a tensor with a NaN or an infinite entry")
+    tau = float(real_values(tau, "soft_maximum: temperature", ()))
     if not tau > 0.0:
         raise NonPositiveTemperatureError(f"temperature must be positive, got {tau}")
     # shifting by the (detached) max leaves both value and gradient intact
@@ -1088,8 +1100,9 @@ def binary_cross_entropy(p, labels) -> Tensor:
     predictions yield a large finite loss instead of infinity; the
     gradient is zero where the clamp binds.  A label outside ``[0, 1]``,
     or NaN, raises :class:`DiffcoreError`: it would give a loss below zero
-    or a NaN one.  An empty batch raises :class:`EmptyVectorError`: its
-    mean is NaN.
+    or a NaN one.  So does a NaN probability, which the clamp would pass
+    through to the loss; an infinite one is clamped.  An empty batch
+    raises :class:`EmptyVectorError`: its mean is NaN.
 
     One op: with ``pc`` the clamped probabilities and ``gm = -g / size``
     per entry, the backward is ``-(gm * (1 - y) / (1 - pc)) + gm * y / pc``,
@@ -1105,6 +1118,8 @@ def binary_cross_entropy(p, labels) -> Tensor:
         raise EmptyVectorError("binary_cross_entropy of an empty batch")
     if not np.all((y >= 0.0) & (y <= 1.0)):
         raise DiffcoreError("binary_cross_entropy: labels must lie in [0, 1], and none be NaN")
+    if np.isnan(p.data).any():
+        raise DiffcoreError("binary_cross_entropy: a probability is NaN")
     lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
     pc = np.clip(p.data, lo, hi)
     term = y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)

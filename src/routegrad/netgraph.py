@@ -8,11 +8,12 @@ routing-matrix rows alike, follows one fixed enumeration,
 :func:`ordered_pairs`.  Every node index that comes in, a link end, a
 source, a query endpoint or a path endpoint, passes one rule,
 :func:`node_indices`, and so does every row index ``diffcore`` gathers
-or sums by.  Every size, a node count, a latent width or a round count,
-passes a second, :func:`positive_integer`.  Every real-valued input, a
-capacity, a weight, a demand, a path membership, a query indicator, a
-``diffcore`` tensor or label, or a checkpoint's parameter, passes the
-third, :func:`real_values`.
+or sums by.  Every size, a node count, a latent width, a round count or
+the bucket count ``diffcore`` sums rows into, passes a second,
+:func:`positive_integer`.  Every real-valued input, a capacity, a
+weight, a demand, a path membership, a query indicator, a ``diffcore``
+tensor or label, or a checkpoint's parameter, passes the third,
+:func:`real_values`.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from routegrad import diffcore as dc
-from routegrad.netgraph import GraphError
+from routegrad.netgraph import DimensionMismatchError, GraphError
 
 from oracles import (
     binary_cross_entropy_chain,
@@ -1035,6 +1035,37 @@ class TestSoftMaximum:
         with pytest.raises(dc.NonPositiveTemperatureError):
             dc.soft_maximum(dc.Tensor([1.0]), 0.0)
 
+    @pytest.mark.parametrize(
+        "tau, error",
+        [
+            (True, GraphError),
+            (np.True_, GraphError),
+            ("0.1", GraphError),
+            (None, GraphError),
+            (0.1 + 0j, GraphError),
+            (np.array([0.1, 0.2]), DimensionMismatchError),
+        ],
+        ids=["bool", "np_bool", "string", "none", "complex", "array"],
+    )
+    def test_temperature_that_is_not_one_real_number_rejected(self, tau, error):
+        # a cast would read True as 1.0, and a comparison of a string or
+        # an array with 0 raises numpy's TypeError or ValueError
+        with pytest.raises(error):
+            dc.soft_maximum(dc.Tensor([0.0, 1.0]), tau)
+
+    @pytest.mark.parametrize("tau", [np.nan, -0.5, -np.inf], ids=["nan", "negative", "minus_inf"])
+    def test_temperature_nan_or_not_positive_rejected(self, tau):
+        with pytest.raises(dc.NonPositiveTemperatureError):
+            dc.soft_maximum(dc.Tensor([0.0, 1.0]), tau)
+
+    def test_temperature_of_any_real_type_or_infinite(self):
+        # one number of any real type is the float it holds, and an
+        # infinite temperature weighs every entry alike
+        x = dc.Tensor([0.0, 1.0, 5.0])
+        for tau in (np.array(2.0), np.float32(2.0), np.int64(2), 2):
+            assert dc.soft_maximum(x, tau).item() == dc.soft_maximum(x, 2.0).item()
+        assert dc.soft_maximum(x, np.inf).item() == 2.0
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "minus_inf", "nan"])
     def test_non_finite_entry_rejected(self, bad):
         # the max shift turns an infinity into inf - inf = NaN, and a NaN
@@ -1076,6 +1107,15 @@ class TestBinaryCrossEntropy:
         with pytest.raises(dc.DiffcoreError, match="labels"):
             dc.binary_cross_entropy(dc.Tensor([0.9, 0.9, 0.9]), np.array([0.0, 1.0, bad]))
 
+    def test_nan_probability_rejected(self):
+        # the clamp passes NaN through to the loss; an infinite probability
+        # is clamped, as any other outside [0, 1]
+        with pytest.raises(dc.DiffcoreError, match="NaN"):
+            dc.binary_cross_entropy(dc.Tensor([0.5, np.nan]), np.array([0.0, 1.0]))
+        clamped = [1.0 - dc.BCE_CLAMP, dc.BCE_CLAMP]
+        expect = dc.binary_cross_entropy(dc.Tensor(clamped), np.array([0.0, 1.0])).item()
+        assert dc.binary_cross_entropy(dc.Tensor([np.inf, -np.inf]), np.array([0.0, 1.0])).item() == expect
+
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
     def test_empty_batch_rejected(self, shape):
         # its mean would be NaN, with numpy's "Mean of empty slice" warning
@@ -1104,6 +1144,16 @@ class TestBinaryCrossEntropy:
         p = rng.uniform(0.05, 0.95, 6)
         labels = (rng.random(6) < 0.5).astype(float)
         assert_grads_match(lambda q: dc.binary_cross_entropy(q, labels), [p])
+
+
+class TestReshape:
+    def test_shape_the_data_cannot_take_rejected(self):
+        # the package's shape error, as every other diffcore shape check
+        # raises, not numpy's ValueError
+        for shape in [(4,), (2, 2), (5, -1)]:
+            with pytest.raises(dc.ShapeMismatchError):
+                dc.reshape(dc.Tensor(np.ones(6)), shape)
+        assert dc.reshape(dc.Tensor(np.ones(6)), (3, -1)).shape == (3, 2)
 
 
 class TestGatherAndSegments:
@@ -1186,6 +1236,14 @@ INDEXED_OPS = {
 }
 
 
+# every op that sums rows into a bucket count, as a function of its input,
+# the index and the count
+SUMMED_OPS = {
+    "segment_sum": dc.segment_sum,
+    "mlp_ln_summed": lambda x, idx, n: dc.mlp_ln([(x, idx, n)], *_MLP_PARAMS),
+}
+
+
 def _indexed_input(summed: bool, idx) -> np.ndarray:
     return np.random.default_rng(41).normal(size=(2, np.size(idx) if summed else 4, 3))
 
@@ -1219,6 +1277,25 @@ def test_input_without_rows_rejected(op):
     fn, _ = INDEXED_OPS[op]
     with pytest.raises(dc.ShapeMismatchError):
         fn(dc.Tensor(np.ones(4)), [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("op", SUMMED_OPS)
+@pytest.mark.parametrize("bad", [2.5, True, "2", 0], ids=["float", "bool", "string", "zero"])
+def test_bucket_count_that_is_not_a_size_rejected(op, bad):
+    # a float count would reach the bucket array's shape, and a string
+    # one a comparison with the indices; each fails
+    # netgraph.positive_integer
+    idx = [0, 1, 0, 1]
+    x = dc.Tensor(_indexed_input(True, idx))
+    with pytest.raises(GraphError, match="bucket count"):
+        SUMMED_OPS[op](x, idx, bad)
+    assert SUMMED_OPS[op](x, idx, np.int64(4)).shape[-2] == 4
+
+
+def test_summed_term_without_index_rejected():
+    x = dc.Tensor(_indexed_input(True, [0, 1, 2, 3]))
+    with pytest.raises(GraphError):
+        dc.mlp_ln([(x, None, 4)], *_MLP_PARAMS)
 
 
 @pytest.mark.parametrize("op", INDEXED_OPS)
