@@ -637,8 +637,16 @@ def _accumulate(acc: np.ndarray, y: np.ndarray, y_owned: bool) -> np.ndarray:
     return acc + y
 
 
-def _check_dense(op: str, widths: list, weights: Tensor, bias) -> None:
-    """Raises unless inputs of ``widths`` tile ``weights`` and ``bias`` is None or ``[n_out]``."""
+def _features(op: str, shape: tuple) -> int:
+    """The width of the trailing feature axis of an input of ``shape``, which must have one."""
+    if not shape:
+        raise ShapeMismatchError(f"{op}: the input needs a feature axis, got shape ()")
+    return shape[-1]
+
+
+def _check_dense(op: str, shapes: list, weights: Tensor, bias) -> None:
+    """Raises unless the feature axes of inputs of ``shapes`` tile ``weights`` and ``bias`` is None or ``[n_out]``."""
+    widths = [_features(op, shape) for shape in shapes]
     if not widths or weights.ndim != 2 or sum(widths) != weights.shape[1]:
         raise ShapeMismatchError(f"{op}: input widths {widths} do not tile weights {weights.shape}")
     if bias is not None and bias.shape != (weights.shape[0],):
@@ -726,7 +734,7 @@ def affine_sum(xs, weights, bias=None) -> Tensor:
     xs = [as_tensor(x) for x in xs]
     weights = as_tensor(weights)
     bias = None if bias is None else as_tensor(bias)
-    _check_dense("affine_sum", [x.shape[-1] for x in xs], weights, bias)
+    _check_dense("affine_sum", [x.shape for x in xs], weights, bias)
     out_data = _dense([(x.data, None) for x in xs], weights.data, None if bias is None else bias.data)
 
     def backward(out, want):
@@ -774,7 +782,7 @@ def dense_relu(x, weights, bias) -> Tensor:
     :func:`affine` does.
     """
     x, weights, bias = as_tensor(x), as_tensor(weights), as_tensor(bias)
-    _check_dense("dense_relu", [x.shape[-1]], weights, bias)
+    _check_dense("dense_relu", [x.shape], weights, bias)
     z = _dense([(x.data, None)], weights.data, bias.data)
     np.maximum(z, 0.0, out=z)
 
@@ -811,21 +819,30 @@ def sigmoid(x) -> Tensor:
 LAYER_NORM_EPS = 1e-5
 
 
-def _check_norm_params(op: str, f: int, gain: Tensor, bias: Tensor) -> None:
+def _check_norm_params(op: str, shape: tuple, gain: Tensor, bias: Tensor) -> None:
+    """Raises unless ``gain`` and ``bias`` are ``[f]`` for the ``f >= 1`` features of an input of ``shape``."""
+    f = _features(op, shape)
     if gain.shape != (f,) or bias.shape != (f,):
         raise ShapeMismatchError(f"{op}: gain {gain.shape} / bias {bias.shape} vs features {f}")
+    if f == 0:
+        raise EmptyVectorError(f"{op}: a layer norm needs at least one feature")
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, out=None):
     """``(x - mean) / sqrt(var + 1e-5) * gain + bias`` over the trailing axis.
 
     Returns the result, the standardized values and the inverse
-    deviations.  The standardized values are written into ``out``; pass
-    ``out=x`` to standardize an array the caller owns in place.
+    deviations ``[..., 1]``.  The standardized values are written into
+    ``out``; pass ``out=x`` to standardize an array the caller owns in
+    place.  Two passes and no temporary: the row means are one
+    matrix-vector product with ``1/f``, and the variances an ``einsum``
+    contraction of the centred values with themselves, never
+    ``E[x^2] - mean^2``, which cancels where the mean dwarfs the spread.
     """
-    mu = x.mean(axis=-1, keepdims=True)
-    xhat = np.subtract(x, mu, out=out)
-    var = np.mean(xhat * xhat, axis=-1, keepdims=True)
+    f = x.shape[-1]
+    mu = x @ np.full(f, 1.0 / f)
+    xhat = np.subtract(x, mu[..., None], out=out)
+    var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / f
     istd = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= istd
     y = xhat * gain
@@ -839,20 +856,21 @@ def _layer_norm_backward(g, xhat, istd, gain, wanted) -> list:
     ``wanted`` flags the input, the gain and the bias; returns one
     gradient per flag, None where the flag is unset.  The input's is
     ``(h - m1 - xhat * m2) * istd`` with ``h = g * gain`` and ``m1``,
-    ``m2`` the trailing-axis means of ``h`` and ``h * xhat``, evaluated in
-    ``h`` itself and one scratch array that the gain gradient then reuses;
-    the scratch is freed on return.
+    ``m2`` the trailing-axis means of ``h`` and ``h * xhat``: ``m1`` a
+    matrix-vector product with ``1/f`` and ``m2`` an ``einsum``
+    contraction, so neither forms a temporary.  The result is evaluated
+    in ``h`` itself and one scratch array for ``xhat * m2``, which the
+    gain gradient then reuses; the scratch is freed on return.
     """
     want_x, want_gain, want_bias = wanted
     f = xhat.shape[-1]
     gx = scratch = ggain = gbias = None
     if want_x:
         gx = g * gain
-        m1 = gx.mean(axis=-1, keepdims=True)
-        scratch = gx * xhat
-        m2 = scratch.mean(axis=-1, keepdims=True)
-        np.multiply(xhat, m2, out=scratch)
-        gx -= m1
+        m1 = gx @ np.full(f, 1.0 / f)
+        m2 = np.einsum("...i,...i->...", gx, xhat) / f
+        scratch = np.multiply(xhat, m2[..., None])
+        gx -= m1[..., None]
         gx -= scratch
         gx *= istd
     if want_gain:
@@ -867,10 +885,12 @@ def layer_normalize(x, gain, bias) -> Tensor:
     """Per-vector standardization over the trailing feature axis.
 
     ``y = (x - mean) / sqrt(var + 1e-5) * gain + bias`` with population
-    variance, computed independently for every leading index.
+    variance, computed independently for every leading index.  An input
+    without a feature axis raises :class:`ShapeMismatchError`, and one of
+    no features :class:`EmptyVectorError`.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    _check_norm_params("layer_normalize", x.shape[-1], gain, bias)
+    _check_norm_params("layer_normalize", x.shape, gain, bias)
     out_data, xhat, istd = _layer_norm(x.data, gain.data, bias.data)
 
     def backward(out, want):
@@ -983,7 +1003,7 @@ def mlp_ln(terms, w1, b1, w2, b2, gain, bias) -> Tensor:
             the ``x`` of such a term has rows.  The terms may broadcast
             against each other over leading axes.
         w1: ``[n_hidden, sum n_i]``; ``b1``: ``[n_hidden]``.
-        w2: ``[n_out, n_hidden]``; ``b2``, ``gain``, ``bias``: ``[n_out]``.
+        w2: ``[n_out, n_hidden]``, ``n_out >= 1``; ``b2``, ``gain``, ``bias``: ``[n_out]``.
 
     Both layers are the dense kernel (:func:`_dense`), which fixes the
     order of the first layer's sum, and ReLU and the standardization run
@@ -999,9 +1019,9 @@ def mlp_ln(terms, w1, b1, w2, b2, gain, bias) -> Tensor:
             idx = _row_index("mlp_ln", x, idx, *n_segments)
         segments.append(idx if n_segments else None)
         kernel.append((_scatter_add(x.data, idx, *n_segments), None) if n_segments else (x.data, idx))
-    _check_dense("mlp_ln", [x.shape[-1] for x, _ in kernel], w1, b1)
-    _check_dense("mlp_ln", [w1.shape[0]], w2, b2)
-    _check_norm_params("mlp_ln", w2.shape[0], gain, bias)
+    _check_dense("mlp_ln", [x.shape for x, _ in kernel], w1, b1)
+    _check_dense("mlp_ln", [w1.shape[:1]], w2, b2)
+    _check_norm_params("mlp_ln", w2.shape[:1], gain, bias)
     z = _dense(kernel, w1.data, b1.data)
     np.maximum(z, 0.0, out=z)
     h = _dense([(z, None)], w2.data, b2.data)
